@@ -6,24 +6,13 @@
  * Loads the committed scenario pair (scenarios/llm_continuous.scn
  * and scenarios/llm_static_batch.scn — identical fleet, traffic,
  * seed and KV budget; only the scheduler differs) and reports the
- * headline pair the ISSUE acceptance gates: the tokens/s speedup and
- * the p99 time-to-first-token ratio continuous batching buys. Each
- * scenario also runs on both simulation engines and the key results
- * are compared exactly — LLM serving must stay bit-identical across
- * engines like every other subsystem.
+ * headline pair the exit code gates: the tokens/s speedup and the
+ * p99 time-to-first-token ratio continuous batching buys.
  *
- * Usage: bench_llm_serving [--json=FILE]
- *   --json=FILE  write the bench_llm_serving schema-1 record
- *                (default: no record). tools/bench_compare.py
- *                self-checks the record and gates the speedup; the
- *                committed BENCH_PERF.json carries the full-run
- *                numbers in its "llm_serving" block.
  * NEU10_SEED / NEU10_SMOKE apply via scenario applyEnvOverrides.
  */
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,18 +33,12 @@ struct LlmSummary
     std::string name;
     std::string scheduler;
     std::uint64_t tokens = 0;
-    std::uint64_t prefills = 0;
-    std::uint64_t decodeIterations = 0;
     std::uint64_t preemptions = 0;
-    std::uint64_t completed = 0;
-    std::uint32_t kvPages = 0;
     std::uint32_t kvHighWater = 0;
     Cycles makespan = 0.0;
     double tokensPerSec = 0.0;
     Cycles ttftP50 = 0.0;
     Cycles ttftP99 = 0.0;
-    double wallSeconds = 0.0;
-    bool bitIdentical = false;
 };
 
 LlmSummary
@@ -69,14 +52,10 @@ summarize(const Scenario &s, const FleetResult &r)
     Distribution ttft;
     for (const TenantResult &t : r.tenants) {
         out.tokens += t.llm.tokensGenerated;
-        out.prefills += t.llm.prefills;
-        out.decodeIterations += t.llm.decodeIterations;
         out.preemptions += t.llm.preemptions;
-        out.kvPages += t.llm.kvPages;
         out.kvHighWater += t.llm.kvPageHighWater;
         ttft.merge(t.llm.ttftCycles);
     }
-    out.completed = r.completed;
     out.makespan = r.makespan;
     const double secs =
         Clock(s.board.core.freqHz).toSeconds(
@@ -87,141 +66,32 @@ summarize(const Scenario &s, const FleetResult &r)
     return out;
 }
 
-/** Exact equality of everything the LLM serving path computes —
- * engines that drift in any counter or sample fail the record. */
-bool
-sameResults(const FleetResult &a, const FleetResult &b)
-{
-    if (a.submitted != b.submitted || a.completed != b.completed ||
-        a.rejected != b.rejected || a.makespan != b.makespan ||
-        a.latencyCycles.count() != b.latencyCycles.count() ||
-        a.latencyCycles.sum() != b.latencyCycles.sum())
-        return false;
-    if (a.tenants.size() != b.tenants.size())
-        return false;
-    for (size_t i = 0; i < a.tenants.size(); ++i) {
-        const LlmEndpointStats &x = a.tenants[i].llm;
-        const LlmEndpointStats &y = b.tenants[i].llm;
-        if (x.tokensGenerated != y.tokensGenerated ||
-            x.prefills != y.prefills ||
-            x.decodeIterations != y.decodeIterations ||
-            x.preemptions != y.preemptions ||
-            x.kvPageHighWater != y.kvPageHighWater ||
-            x.kvAllocOps != y.kvAllocOps ||
-            x.kvFreeOps != y.kvFreeOps ||
-            x.kvFailedAllocs != y.kvFailedAllocs ||
-            x.kvOccupancyMean != y.kvOccupancyMean ||
-            x.ttftCycles.count() != y.ttftCycles.count() ||
-            x.ttftCycles.sum() != y.ttftCycles.sum())
-            return false;
-    }
-    return true;
-}
-
 LlmSummary
-runScenarioBothEngines(const char *path)
+runScenarioFile(const char *path)
 {
     Scenario s = loadScenarioFile(path);
     applyEnvOverrides(s);
-    FleetConfig cfg = toFleetConfig(s);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    const FleetResult fast = runFleet(cfg);
-    const auto t1 = std::chrono::steady_clock::now();
-    cfg.engine = SimEngine::PerCycle;
-    const FleetResult ref = runFleet(cfg);
-
-    LlmSummary out = summarize(s, fast);
-    out.wallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    out.bitIdentical = sameResults(fast, ref);
-    return out;
+    return summarize(s, runFleet(toFleetConfig(s)));
 }
 
 void
 printRow(const LlmSummary &s)
 {
     std::printf("%-16s %-13s %8llu %8.0f %9.3f %9.3f %6llu %6u "
-                "%10.3f %5s\n",
+                "%10.3f\n",
                 s.name.c_str(), s.scheduler.c_str(),
                 static_cast<unsigned long long>(s.tokens),
                 s.tokensPerSec, bench::toMs(s.ttftP50),
                 bench::toMs(s.ttftP99),
                 static_cast<unsigned long long>(s.preemptions),
-                s.kvHighWater, bench::toMs(s.makespan),
-                s.bitIdentical ? "yes" : "NO");
-}
-
-void
-writeJson(const char *path, const std::vector<LlmSummary> &rows,
-          double tokens_speedup, double ttft_ratio,
-          double min_speedup, std::uint64_t seed, bool smoke)
-{
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "error: cannot write %s\n", path);
-        std::exit(2);
-    }
-    bool identical = true;
-    for (const LlmSummary &s : rows)
-        identical = identical && s.bitIdentical;
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"bench_llm_serving\",\n");
-    std::fprintf(f, "  \"schema_version\": 1,\n");
-    std::fprintf(f, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(seed));
-    std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
-    std::fprintf(f, "  \"min_tokens_speedup_required\": %.2f,\n",
-                 min_speedup);
-    std::fprintf(f, "  \"tokens_speedup\": %.3f,\n", tokens_speedup);
-    std::fprintf(f, "  \"ttft_p99_ratio\": %.3f,\n", ttft_ratio);
-    std::fprintf(f, "  \"bit_identical_engines\": %s,\n",
-                 identical ? "true" : "false");
-    std::fprintf(f, "  \"scenarios\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const LlmSummary &s = rows[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"scheduler\": \"%s\", "
-            "\"tokens\": %llu, \"tokens_per_sec\": %.3f, "
-            "\"ttft_p50_ms\": %.3f, \"ttft_p99_ms\": %.3f, "
-            "\"prefills\": %llu, \"decode_iterations\": %llu, "
-            "\"preemptions\": %llu, \"completed\": %llu, "
-            "\"kv_pages\": %u, \"kv_page_high_water\": %u, "
-            "\"makespan_ms\": %.3f, \"wall_seconds\": %.6f, "
-            "\"bit_identical\": %s}%s\n",
-            s.name.c_str(), s.scheduler.c_str(),
-            static_cast<unsigned long long>(s.tokens),
-            s.tokensPerSec, bench::toMs(s.ttftP50),
-            bench::toMs(s.ttftP99),
-            static_cast<unsigned long long>(s.prefills),
-            static_cast<unsigned long long>(s.decodeIterations),
-            static_cast<unsigned long long>(s.preemptions),
-            static_cast<unsigned long long>(s.completed),
-            s.kvPages, s.kvHighWater, bench::toMs(s.makespan),
-            s.wallSeconds, s.bitIdentical ? "true" : "false",
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+                s.kvHighWater, bench::toMs(s.makespan));
 }
 
 } // anonymous namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    std::string json_path;
-    for (int a = 1; a < argc; ++a) {
-        if (std::strncmp(argv[a], "--json=", 7) == 0) {
-            json_path = argv[a] + 7;
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_llm_serving [--json=FILE]\n");
-            return 2;
-        }
-    }
-
     const bool smoke = bench::smokeMode();
     const std::uint64_t seed = bench::benchSeed();
 
@@ -234,18 +104,18 @@ main(int argc, char **argv)
 
     std::vector<LlmSummary> rows;
     try {
-        rows.push_back(runScenarioBothEngines(
-            NEU10_SCENARIO_DIR "/llm_continuous.scn"));
-        rows.push_back(runScenarioBothEngines(
-            NEU10_SCENARIO_DIR "/llm_static_batch.scn"));
+        rows.push_back(
+            runScenarioFile(NEU10_SCENARIO_DIR "/llm_continuous.scn"));
+        rows.push_back(
+            runScenarioFile(NEU10_SCENARIO_DIR "/llm_static_batch.scn"));
     } catch (const FatalError &err) {
         bench::usageError(err);
     }
 
-    std::printf("%-16s %-13s %8s %8s %9s %9s %6s %6s %10s %5s\n",
+    std::printf("%-16s %-13s %8s %8s %9s %9s %6s %6s %10s\n",
                 "scenario", "scheduler", "tokens", "tok/s",
                 "ttft-p50", "ttft-p99", "evict", "hiwat",
-                "makespan", "same");
+                "makespan");
     bench::rule();
     for (const LlmSummary &s : rows)
         printRow(s);
@@ -264,20 +134,8 @@ main(int argc, char **argv)
     const double min_speedup = 1.05;
 
     std::printf("continuous vs static-batch: %.2fx tokens/s, "
-                "%.2fx p99 TTFT, engines %s\n",
-                tokens_speedup, ttft_ratio,
-                cont.bitIdentical && stat.bitIdentical
-                    ? "bit-identical"
-                    : "DIVERGED");
+                "%.2fx p99 TTFT\n",
+                tokens_speedup, ttft_ratio);
 
-    if (!json_path.empty()) {
-        writeJson(json_path.c_str(), rows, tokens_speedup,
-                  ttft_ratio, min_speedup, seed, smoke);
-        std::printf("wrote %s\n", json_path.c_str());
-    }
-
-    const bool ok = cont.bitIdentical && stat.bitIdentical &&
-                    tokens_speedup >= min_speedup &&
-                    ttft_ratio <= 1.0;
-    return ok ? 0 : 1;
+    return tokens_speedup >= min_speedup && ttft_ratio <= 1.0 ? 0 : 1;
 }

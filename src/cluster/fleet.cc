@@ -355,7 +355,6 @@ runFleet(const FleetConfig &config)
             sc.policy = config.corePolicy;
             sc.mode = config.servingMode;
             sc.llm = config.llm;
-            sc.engine = config.engine;
             sc.maxCycles = config.maxCycles;
             sc.trace = config.trace;
             sc.stopAtCycles =

@@ -187,12 +187,6 @@ struct FleetConfig
      * test). */
     unsigned threads = 1;
 
-    /** Execution engine for every per-core simulation
-     * (sim/engine.hh): the fast-forward default or the per-cycle
-     * reference. Fleet results are bit-identical across engines;
-     * bench_perf_engine records the wall-clock gap. */
-    SimEngine engine = SimEngine::EventDriven;
-
     ElasticConfig elastic;
 
     ResilienceConfig resilience;
@@ -202,9 +196,9 @@ struct FleetConfig
      * per-core run records its request lifecycle; the aggregation
      * thread merges the buffers into FleetResult::trace in core-index
      * order at each epoch boundary (the EpochRunCollector scheme), so
-     * the exported bytes are identical at every @ref threads width
-     * and across engines. TraceConfig::metrics additionally samples
-     * fleet counters into FleetResult::metrics per epoch.
+     * the exported bytes are identical at every @ref threads width.
+     * TraceConfig::metrics additionally samples fleet counters into
+     * FleetResult::metrics per epoch.
      */
     TraceConfig trace;
 

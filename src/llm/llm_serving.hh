@@ -29,9 +29,8 @@
  * Determinism: the loop is analytic and single-threaded per
  * endpoint; sequence lengths come from a seeded Rng drawn in
  * arrival order before simulation starts. Results are bit-identical
- * across SimEngine choices (no event queue is involved) and fleet
- * thread widths (endpoints share nothing; the fleet merges results
- * in core-index order).
+ * across fleet thread widths (endpoints share nothing; the fleet
+ * merges results in core-index order).
  */
 
 #ifndef NEU10_LLM_LLM_SERVING_HH

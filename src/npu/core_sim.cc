@@ -1,7 +1,6 @@
 #include "npu/core_sim.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "npu/bandwidth.hh"
@@ -140,33 +139,6 @@ NpuCoreSim::enqueueReadyUnits(RequestExec &req, std::uint32_t op_idx,
 }
 
 void
-NpuCoreSim::stepCycles(Cycles from, Cycles to)
-{
-    // Per-cycle reference engine (SimEngine::PerCycle): visit every
-    // integer cycle boundary in (from, to) and re-derive from the
-    // running set whether any unit completes or unstalls there. None
-    // ever does — the event at `to` is the first state change, which
-    // is exactly what the fast-forward engine computed once in
-    // scheduleNext() — but the reference pays the per-cycle scan to
-    // find that out. The walk only reads simulator state, so results
-    // stay bit-identical across engines; the volatile sink keeps the
-    // optimizer from fast-forwarding the reference for us.
-    bool change = false;
-    for (Cycles c = std::floor(from) + 1.0; c < to; c += 1.0) {
-        for (const UnitRun *u : running_) {
-            if (u->penalty > 0.0) {
-                change = change || (from + u->penalty < c);
-            } else if (u->rate > 0.0) {
-                change = change || (u->x + u->rate * (c - from) >=
-                                    1.0 - kDoneEps);
-            }
-        }
-        probeSink_ = probeSink_ || change;
-        ++cyclesStepped_;
-    }
-}
-
-void
 NpuCoreSim::advanceTo(Cycles now)
 {
     const Cycles dt = now - lastAdvance_;
@@ -175,13 +147,9 @@ NpuCoreSim::advanceTo(Cycles now)
         return;
     }
     if (trace_ != nullptr && traceEngineEvents_) {
-        // The advance sequence is identical under both engines (the
-        // per-cycle walk only reads state), so these spans are too.
         trace_->span(lastAdvance_, now, "engine", "advance", "units",
                      static_cast<double>(running_.size()));
     }
-    if (engine_ == SimEngine::PerCycle)
-        stepCycles(lastAdvance_, now);
 
     double hbm_rate = 0.0;
     scratchOccupancy_.assign(slots_.size(), 0.0);

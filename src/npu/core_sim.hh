@@ -21,11 +21,10 @@
  * time-quantum decisions. HBM bandwidth is split max-min fairly between
  * vNPUs and then between units (§III-B).
  *
- * Two execution engines drive the same schedule (sim/engine.hh): the
- * default fast-forward engine jumps the clock straight to the next
- * computed state change, while the per-cycle reference walks every
- * intervening cycle re-probing the running set. Results are
- * bit-identical either way; bench_perf_engine records the speed gap.
+ * Time advances event to event: at every scheduling decision the
+ * simulator computes the next cycle at which any unit's state can
+ * change and jumps the clock straight to it, integrating utilization
+ * and share statistics analytically over the skipped span.
  */
 
 #ifndef NEU10_NPU_CORE_SIM_HH
@@ -42,7 +41,6 @@
 #include "compiler/lower.hh"
 #include "npu/config.hh"
 #include "obs/trace.hh"
-#include "sim/engine.hh"
 #include "sim/event_queue.hh"
 #include "stats/timeseries.hh"
 #include "stats/utilization.hh"
@@ -191,17 +189,6 @@ class NpuCoreSim
     void setCaptureAssignment(bool on) { captureAssignment_ = on; }
 
     /**
-     * Select the execution engine (sim/engine.hh). The default
-     * fast-forward engine jumps the clock between state changes; the
-     * per-cycle reference walks every intervening cycle, probing the
-     * running set at each one. Results are bit-identical either way
-     * (the walk only reads state) — the engines differ in host cost,
-     * which bench_perf_engine measures.
-     */
-    void setEngine(SimEngine e) { engine_ = e; }
-    SimEngine engine() const { return engine_; }
-
-    /**
      * Attach a sim-time trace buffer (obs/trace.hh). When
      * @p engine_events is set, every fast-forward jump of the clock is
      * recorded as an "engine"/"advance" span — useful for seeing how
@@ -215,10 +202,6 @@ class NpuCoreSim
         trace_ = trace;
         traceEngineEvents_ = engine_events && trace != nullptr;
     }
-
-    /** Integer cycle boundaries the per-cycle reference visited
-     * (0 under the fast-forward engine). */
-    std::uint64_t cyclesStepped() const { return cyclesStepped_; }
 
     // --- accessors used by policies and stats consumers ------------
     const NpuCoreConfig &config() const { return cfg_; }
@@ -272,7 +255,6 @@ class NpuCoreSim
 
     void onEvent(Cycles now);
     void advanceTo(Cycles now);
-    void stepCycles(Cycles from, Cycles to);
     void computeShares();
     void scheduleNext();
     void completeUnit(UnitRun *u, Cycles now);
@@ -314,13 +296,6 @@ class NpuCoreSim
 
     TraceBuffer *trace_ = nullptr;
     bool traceEngineEvents_ = false;
-
-    SimEngine engine_ = SimEngine::EventDriven;
-    std::uint64_t cyclesStepped_ = 0;
-    /** Sink for the per-cycle probe results; volatile so the walk
-     * cannot be collapsed into a single analytic step — that is the
-     * fast-forward engine's job, not the reference's. */
-    volatile bool probeSink_ = false;
 
     EventId pendingEvent_ = kInvalidEvent;
     std::uint64_t nextRequestId_ = 1;

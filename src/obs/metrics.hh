@@ -2,8 +2,8 @@
  * @file
  * Metrics registry: counters, gauges and histograms sampled at epoch
  * boundaries into time-series (stats/timeseries), exported as
- * machine-readable JSON next to the trace (and in the same spirit as
- * BENCH_PERF.json: a schema-versioned record tools can diff).
+ * machine-readable JSON next to the trace (a schema-versioned record
+ * tools can diff).
  *
  * The registry follows the trace subsystem's determinism and
  * zero-overhead-off rules (obs/trace.hh): a disabled registry's

@@ -3,21 +3,21 @@
  * Sim-time event tracing with Chrome trace-event export.
  *
  * The fleet's determinism contract (bit-identical results at any
- * FleetConfig::threads width and across engines) extends to traces:
- * every event carries *simulated* time, recording happens in the
- * deterministic event order of the owning per-core simulation, and
- * per-core buffers merge at epoch boundaries keyed by core index —
- * the same scheme EpochRunCollector uses for results. Two identical
- * configs therefore yield byte-identical trace files regardless of
- * host threading (enforced by tests/test_obs.cpp).
+ * FleetConfig::threads width) extends to traces: every event carries
+ * *simulated* time, recording happens in the deterministic event
+ * order of the owning per-core simulation, and per-core buffers
+ * merge at epoch boundaries keyed by core index — the same scheme
+ * EpochRunCollector uses for results. Two identical configs
+ * therefore yield byte-identical trace files regardless of host
+ * threading (enforced by tests/test_obs.cpp).
  *
  * Recording is lock-free in the hot path by construction, not by
  * atomics: a TraceBuffer has exactly one writer (the thread driving
  * its core's simulation), and ownership is handed to the aggregation
  * thread with the ServingResult it rides in. Disabled tracing costs
- * one branch on a cached pointer/flag at every instrumentation site —
- * bench_perf_engine's traced-off A/B against BENCH_PERF.json holds
- * the overhead under 2% (tools/bench_compare.py gates it).
+ * one branch on a cached pointer/flag at every instrumentation site;
+ * perfbench's `sim_req_per_s` (perfbench/README.md) is measured with
+ * tracing off, so a change that taxes the off path shows up there.
  *
  * Export is the Chrome trace-event JSON array format understood by
  * chrome://tracing and https://ui.perfetto.dev: one process per
@@ -57,7 +57,8 @@ struct TraceConfig
     /** Also record one span per engine fast-forward jump
      * (NpuCoreSim::advanceTo). High volume — one event per
      * scheduling event — so benches keep it off unless asked;
-     * the invariance tests turn it on to pin down engine parity. */
+     * the trace determinism tests and perfbench's traced replay
+     * turn it on. */
     bool engineEvents = false;
 
     /** Sample fleet metrics (obs/metrics.hh) at epoch boundaries

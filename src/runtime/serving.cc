@@ -360,7 +360,6 @@ runServing(const ServingConfig &config)
     EventQueue queue;
     NpuCoreSim core(queue, config.core, makePolicy(config.policy),
                     std::move(slots));
-    core.setEngine(config.engine);
     core.setCaptureOpTimings(config.captureOpTimings);
     core.setCaptureAssignment(config.captureAssignment);
 

@@ -35,7 +35,6 @@
 #include "npu/core_sim.hh"
 #include "obs/trace.hh"
 #include "sched/policy.hh"
-#include "sim/engine.hh"
 #include "stats/distribution.hh"
 
 namespace neu10
@@ -146,12 +145,6 @@ struct ServingConfig
     PolicyKind policy = PolicyKind::Neu10;
     ServingMode mode = ServingMode::ClosedLoop;
     std::vector<TenantSpec> tenants;
-
-    /** Execution engine (sim/engine.hh): the fast-forward default or
-     * the per-cycle reference. Bit-identical results either way; the
-     * reference exists to be measured against (bench_perf_engine)
-     * and to anchor the invariance suite. */
-    SimEngine engine = SimEngine::EventDriven;
 
     /** Closed loop: stop once the slowest tenant completes this many
      * requests. Ignored in open loop (the arrival streams bound the

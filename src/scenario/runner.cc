@@ -62,7 +62,6 @@ toFleetConfig(const Scenario &s)
     cfg.board = s.board;
     cfg.corePolicy = s.corePolicy;
     cfg.placement = s.placement;
-    cfg.engine = s.engine;
     cfg.threads = s.threads;
     cfg.horizon = s.effectiveHorizon();
     cfg.maxCycles = s.maxCycles > 0.0
@@ -131,7 +130,6 @@ toServingConfig(const Scenario &s)
     cfg.core = s.board.core;
     cfg.policy = s.corePolicy;
     cfg.mode = ServingMode::ClosedLoop;
-    cfg.engine = s.engine;
     cfg.minRequests = s.effectiveMinRequests();
     if (s.maxCycles > 0.0)
         cfg.maxCycles = s.maxCycles;
@@ -491,10 +489,9 @@ outcomeJson(const Scenario &s, const ScenarioOutcome &o)
 {
     Json j;
     j.open();
-    j.str("schema", "neu10-scenario-result-v1");
+    j.str("schema", "neu10-scenario-result-v2");
     j.str("scenario", s.name);
     j.str("mode", scenarioModeName(s.mode));
-    j.str("engine", engineName(s.engine));
     j.num("seed", s.seed);
     j.boolean("smoke", s.smoke);
     j.num("tenants", o.tenants);

@@ -66,7 +66,7 @@ struct ScenarioOutcome
 ScenarioOutcome runScenario(const Scenario &scenario);
 
 /**
- * Render @p outcome as the neu10-scenario-result-v1 JSON record (see
+ * Render @p outcome as the neu10-scenario-result-v2 JSON record (see
  * file doc and docs/SCENARIOS.md). Deterministic bytes; no paths,
  * hosts or wall-clock values.
  */

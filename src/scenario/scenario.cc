@@ -291,9 +291,9 @@ interpScenarioSection(const Interp &in, const Section &sec,
 const char *const kFleetVocabulary =
     "mode, boards, chips-per-board, cores-per-chip, mes, ves, "
     "freq-hz, sram-bytes, hbm-bytes, hbm-bytes-per-sec, placement, "
-    "core-policy, engine, threads, horizon, smoke-horizon, "
-    "max-cycles, max-cycles-factor, seed, tenant-order, "
-    "min-requests, smoke-min-requests";
+    "core-policy, threads, horizon, smoke-horizon, max-cycles, "
+    "max-cycles-factor, seed, tenant-order, min-requests, "
+    "smoke-min-requests";
 
 void
 interpFleetSection(const Interp &in, const Section &sec, Scenario &out)
@@ -335,10 +335,6 @@ interpFleetSection(const Interp &in, const Section &sec, Scenario &out)
         } else if (e.key == "core-policy") {
             out.corePolicy = withContext(in.file(), e.line, [&] {
                 return policyFromName(e.value);
-            });
-        } else if (e.key == "engine") {
-            out.engine = withContext(in.file(), e.line, [&] {
-                return engineFromName(e.value);
             });
         } else if (e.key == "threads") {
             out.threads = in.u32(e);

@@ -9,7 +9,7 @@
  * hardware mixes x traffic mixes x faults). A scenario file captures
  * everything a `FleetConfig` / `ServingConfig` needs — fleet shape,
  * traffic, placement, scheduling, elasticity epochs, fault traces,
- * SLOs, engine knobs and tracing — in an INI-style text format
+ * SLOs and tracing — in an INI-style text format
  * (sections + `key = value` lines), so adding a workload is a file
  * drop, not a binary. The committed library lives under `scenarios/`
  * and `tools/neu10_run` executes any of them; the converted benches
@@ -41,7 +41,6 @@
 #include "obs/trace.hh"
 #include "resilience/faults.hh"
 #include "sched/policy.hh"
-#include "sim/engine.hh"
 
 namespace neu10
 {
@@ -146,7 +145,6 @@ struct Scenario
     NpuBoardConfig board;    ///< chips x cores x core shape
     PlacementPolicy placement = PlacementPolicy::FirstFit;
     PolicyKind corePolicy = PolicyKind::Neu10;
-    SimEngine engine = SimEngine::EventDriven;
 
     /** Host threads for per-core simulations (0 = host width). */
     unsigned threads = 1;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Exact-equality comparators for simulation results, shared by the
- * engine-invariance suite (test_perf_engine) and the scenario parity
- * suite (test_scenario_parity).
+ * LLM thread-invariance test (test_llm) and the scenario parity suite
+ * (test_scenario_parity).
  *
  * "Equal" here is literal: every counter, every stamp, every latency
  * sample and every derived double is compared with exact equality,

@@ -8,7 +8,7 @@
  * serving through the fleet: continuous batching must beat the
  * static-batch baseline at equal HBM, preemption and fault-injected
  * board loss must conserve both requests and pages, and everything
- * must be bit-identical across engines and host thread widths.
+ * must be bit-identical across host thread widths.
  */
 
 #include <gtest/gtest.h>
@@ -434,20 +434,16 @@ TEST(LlmServing, ContinuousBeatsStaticBatch)
         EXPECT_GT(tr.llm.tokensPerSecond, 0.0);
 }
 
-TEST(LlmServing, EngineAndThreadInvariance)
+TEST(LlmServing, ThreadInvariance)
 {
     auto cfg = llmFleet(LlmScheduler::Continuous);
     const auto a = runFleet(cfg);
-    cfg.engine = SimEngine::PerCycle;
-    const auto b = runFleet(cfg);
-    cfg.engine = SimEngine::EventDriven;
     cfg.threads = 4;
-    const auto c = runFleet(cfg);
+    const auto b = runFleet(cfg);
     cfg.threads = 3;
-    const auto d = runFleet(cfg);
+    const auto c = runFleet(cfg);
     expectFleetEq(a, b);
     expectFleetEq(a, c);
-    expectFleetEq(a, d);
 }
 
 TEST(LlmServing, PreemptionConservesPagesAndRequests)

@@ -5,8 +5,8 @@
  * async-id salting, non-finite arg sanitization), MetricsRegistry
  * bookkeeping, and the determinism contract end-to-end: a traced
  * fleet run must produce byte-identical trace files at any
- * FleetConfig::threads width, across engines, and under a board-loss
- * fault — and tracing must not perturb the simulation results.
+ * FleetConfig::threads width and under a board-loss fault — and
+ * tracing must not perturb the simulation results.
  */
 
 #include <cstdint>
@@ -209,8 +209,7 @@ TEST(Metrics, DisabledRegistryIsInert)
  * — small enough that the string compares stay cheap, busy enough
  * that every event category fires. */
 FleetConfig
-tracedFleet(unsigned threads, SimEngine engine,
-            bool board_loss = false)
+tracedFleet(unsigned threads, bool board_loss = false)
 {
     FleetConfig cfg;
     cfg.numBoards = 2; // x (2 chips x 2 cores) = 8 cores
@@ -219,7 +218,6 @@ tracedFleet(unsigned threads, SimEngine engine,
     cfg.maxCycles = 2e8;
     cfg.elastic.epochs = 3;
     cfg.threads = threads;
-    cfg.engine = engine;
     cfg.trace.enabled = true;
     cfg.trace.engineEvents = true;
     cfg.trace.metrics = true;
@@ -252,27 +250,17 @@ tracedFleet(unsigned threads, SimEngine engine,
 
 TEST(TraceDeterminism, ByteIdenticalAcrossThreadWidths)
 {
-    const auto serial = runFleet(tracedFleet(1, SimEngine::EventDriven));
-    const auto wide = runFleet(tracedFleet(8, SimEngine::EventDriven));
+    const auto serial = runFleet(tracedFleet(1));
+    const auto wide = runFleet(tracedFleet(8));
     EXPECT_GT(serial.trace.totalEvents(), 0u);
     EXPECT_EQ(serial.trace.chromeJson(), wide.trace.chromeJson());
     EXPECT_EQ(serial.metrics.json(1e9), wide.metrics.json(1e9));
 }
 
-TEST(TraceDeterminism, ByteIdenticalAcrossEngines)
-{
-    const auto fast = runFleet(tracedFleet(2, SimEngine::EventDriven));
-    const auto ref = runFleet(tracedFleet(2, SimEngine::PerCycle));
-    EXPECT_GT(fast.trace.totalEvents(), 0u);
-    EXPECT_EQ(fast.trace.chromeJson(), ref.trace.chromeJson());
-}
-
 TEST(TraceDeterminism, ByteIdenticalUnderBoardLossFailover)
 {
-    const auto a = runFleet(
-        tracedFleet(1, SimEngine::EventDriven, /*board_loss=*/true));
-    const auto b = runFleet(
-        tracedFleet(4, SimEngine::EventDriven, /*board_loss=*/true));
+    const auto a = runFleet(tracedFleet(1, /*board_loss=*/true));
+    const auto b = runFleet(tracedFleet(4, /*board_loss=*/true));
     EXPECT_GT(a.failovers, 0u);
     const std::string ja = a.trace.chromeJson();
     EXPECT_EQ(ja, b.trace.chromeJson());
@@ -286,7 +274,7 @@ TEST(TraceDeterminism, ByteIdenticalUnderBoardLossFailover)
 
 TEST(TraceDeterminism, TracingDoesNotPerturbResults)
 {
-    FleetConfig traced = tracedFleet(2, SimEngine::EventDriven);
+    FleetConfig traced = tracedFleet(2);
     FleetConfig off = traced;
     off.trace = TraceConfig{};
 

@@ -113,7 +113,6 @@ TEST(ScenarioParse, MinimalOpenLoopDefaults)
     EXPECT_EQ(s.boards, 4u);
     EXPECT_EQ(s.placement, PlacementPolicy::FirstFit);
     EXPECT_EQ(s.corePolicy, PolicyKind::Neu10);
-    EXPECT_EQ(s.engine, SimEngine::EventDriven);
     EXPECT_EQ(s.threads, 1u);
     EXPECT_EQ(s.horizon, 1e6);
     EXPECT_EQ(s.smokeHorizon, 0.0);
@@ -154,7 +153,6 @@ TEST(ScenarioParse, FullFleetKnobs)
         "cores-per-chip = 4\n"
         "placement = load-balanced\n"
         "core-policy = pmt\n"
-        "engine = per-cycle\n"
         "threads = 0\n"
         "horizon = 2e6\n"
         "smoke-horizon = 1e5\n"
@@ -188,7 +186,6 @@ TEST(ScenarioParse, FullFleetKnobs)
     EXPECT_EQ(s.totalCores(), 2u * 3u * 4u);
     EXPECT_EQ(s.placement, PlacementPolicy::LoadBalanced);
     EXPECT_EQ(s.corePolicy, PolicyKind::Pmt);
-    EXPECT_EQ(s.engine, SimEngine::PerCycle);
     EXPECT_EQ(s.threads, 0u);
     EXPECT_EQ(s.horizon, 2e6);
     EXPECT_EQ(s.smokeHorizon, 1e5);
@@ -467,6 +464,24 @@ TEST(ScenarioErrors, UnknownFleetKey)
     expectError("[scenario]\nname = t\n[fleet]\nbogus = 1\n",
                 "test.scn:4: unknown key 'bogus' in section [fleet]; "
                 "valid keys: mode, boards,");
+
+    // There is no engine selection: an `engine` key is rejected like
+    // any unknown key, and the listed vocabulary does not offer it.
+    std::string msg;
+    try {
+        parseScenario("[scenario]\nname = t\n[fleet]\n"
+                      "engine = per-cycle\n",
+                      "test.scn");
+    } catch (const FatalError &err) {
+        msg = err.what();
+    }
+    EXPECT_NE(msg.find("test.scn:4: unknown key 'engine' in section "
+                       "[fleet]; valid keys: mode, boards,"),
+              std::string::npos)
+        << msg;
+    const size_t vocabulary = msg.find("valid keys:");
+    ASSERT_NE(vocabulary, std::string::npos) << msg;
+    EXPECT_EQ(msg.find("engine", vocabulary), std::string::npos) << msg;
 }
 
 TEST(ScenarioErrors, UnknownMode)

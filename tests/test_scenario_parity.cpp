@@ -7,10 +7,10 @@
  *
  * The hand-wired recipes below are copied verbatim from the benches
  * as they stood before the scenario conversion (bench_cluster_serving
- * and bench_resilience are thin wrappers now; bench_fleet_scaling,
- * bench_perf_engine and bench_fig19_21_serving still carry theirs).
- * That duplication is the point: the scenario file, the bench and
- * this test must all agree, so none of the three can drift silently.
+ * and bench_resilience are thin wrappers now; bench_fleet_scaling and
+ * bench_fig19_21_serving still carry theirs). That duplication is the
+ * point: the scenario file, the bench and this test must all agree,
+ * so none of the three can drift silently.
  *
  * Runs use the scenarios' smoke horizons — parity at the short
  * horizon implies parity at the full one (identical configs modulo
@@ -73,7 +73,6 @@ expectFleetConfigEq(const FleetConfig &bench, const FleetConfig &scn)
     EXPECT_EQ(bench.board.core.freqHz, scn.board.core.freqHz);
     EXPECT_EQ(bench.placement, scn.placement);
     EXPECT_EQ(bench.corePolicy, scn.corePolicy);
-    EXPECT_EQ(bench.engine, scn.engine);
     EXPECT_EQ(bench.threads, scn.threads);
     EXPECT_EQ(bench.horizon, scn.horizon);
     EXPECT_EQ(bench.maxCycles, scn.maxCycles);
@@ -251,43 +250,6 @@ scalingFleet(unsigned epochs, Cycles horizon, std::uint64_t seed)
     return cfg;
 }
 
-/** bench_perf_engine's canonicalFleet, verbatim. */
-FleetConfig
-perfFleet(Cycles horizon, std::uint64_t seed)
-{
-    static const ModelId kModels[4] = {ModelId::Mnist, ModelId::Ncf,
-                                       ModelId::Dlrm,
-                                       ModelId::ResNet};
-    static const unsigned kBatches[4] = {32, 32, 32, 8};
-    static const unsigned kEus[4] = {2, 4, 4, 6};
-
-    FleetConfig cfg;
-    cfg.numBoards = 4;
-    cfg.placement = PlacementPolicy::LoadBalanced;
-    cfg.horizon = horizon;
-    cfg.maxCycles = 50.0 * horizon;
-    cfg.threads = 1;
-    cfg.elastic.epochs = 4;
-    for (unsigned i = 0; i < 24; ++i) {
-        const unsigned m = i % 4;
-        const Cycles service =
-            sizeVnpuForModel(kModels[m], kBatches[m], kEus[m],
-                             cfg.board.core)
-                .serviceEstimate();
-        ClusterTenantSpec t;
-        t.model = kModels[m];
-        t.batch = kBatches[m];
-        t.eus = kEus[m];
-        t.traffic.ratePerSec =
-            0.35 * cfg.board.core.freqHz / service;
-        t.traffic.seed = seed + i;
-        t.sloCycles = 5.0 * service;
-        t.maxQueueDepth = 32;
-        cfg.tenants.push_back(t);
-    }
-    return cfg;
-}
-
 // ---------------------------------------------------------- parity
 
 TEST(ScenarioParity, ClusterFirstFit)
@@ -343,12 +305,6 @@ TEST(ScenarioParity, FleetElastic)
 {
     expectFleetParity(scalingFleet(8, 6e6, 42),
                       toFleetConfig(loadSmoke("fleet_elastic")));
-}
-
-TEST(ScenarioParity, PerfFleet4Board)
-{
-    expectFleetParity(perfFleet(4e6, 42),
-                      toFleetConfig(loadSmoke("perf_fleet_4board")));
 }
 
 TEST(ScenarioParity, PaperClosedLoopBertEnet)

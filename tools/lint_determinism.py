@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Project-invariant determinism lint for the neu10 source tree.
 
-The fleet engine promises bit-identical results at any thread width
-and across engines; runtime A/B tests enforce that dynamically, this
-lint enforces the common ways of breaking it statically:
+The fleet engine promises bit-identical results at any thread width;
+runtime A/B tests enforce that dynamically, this lint enforces the
+common ways of breaking it statically:
 
   banned-random   rand()/srand(), std::random_device, time()/clock(),
                   and std::chrono wall/steady clocks anywhere outside

@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Whole-program determinism certifier for the neu10 source tree.
 
-Every published artifact — scenario goldens, parity suites, the
-BENCH_PERF speedup gates, the bit-identical-across-thread-widths and
-engine-equality contracts — assumes nothing in the simulation hot
-path can observe wall-clock time, unseeded randomness, the
-environment, thread identity, or hash-order iteration. The token
+Every published artifact — scenario goldens, parity suites and the
+bit-identical-across-thread-widths contract — assumes nothing in the
+simulation hot path can observe wall-clock time, unseeded randomness,
+the environment, thread identity, or hash-order iteration. The token
 lint (tools/lint_determinism.py) checks single lines against a
 hand-maintained scope list; this tool builds a cross-TU call graph
 of src/ and certifies the assumption whole-program:
@@ -92,8 +91,8 @@ RULES = {
 }
 
 # Default purity roots: the fleet driver, both serving loops, the
-# scenario runner, and the core-simulator advance path (both engines
-# funnel through advanceTo/onEvent).
+# scenario runner, and the core-simulator advance path
+# (advanceTo/onEvent).
 DEFAULT_ENTRIES = [
     "runFleet",
     "runServing",

@@ -12,10 +12,9 @@
  * golden-output regression tests diff.
  *
  * Usage: neu10_run SCENARIO.scn [options]
- *   --json=FILE       write the neu10-scenario-result-v1 record
+ *   --json=FILE       write the neu10-scenario-result-v2 record
  *   --smoke           shrink to the scenario's smoke knobs
  *   --seed=N          override the seed (beats file and env)
- *   --engine=NAME     event-driven | per-cycle
  *   --threads=N       host threads for per-core simulations
  *   --placement=NAME  first-fit | best-fit | load-balanced
  *   --core-policy=N   neu10 | neu10-nh | v10 | pmt
@@ -48,9 +47,8 @@ usage(std::FILE *to)
         to,
         "usage: neu10_run SCENARIO.scn [--json=FILE] [--smoke] "
         "[--seed=N]\n"
-        "                [--engine=NAME] [--threads=N] "
-        "[--placement=NAME]\n"
-        "                [--core-policy=NAME]\n");
+        "                [--threads=N] [--placement=NAME] "
+        "[--core-policy=NAME]\n");
 }
 
 double
@@ -66,9 +64,8 @@ printOpenLoop(const Scenario &s, const ScenarioOutcome &o)
     std::printf("mode        open-loop fleet (%u boards x %u cores, "
                 "%u tenants)\n",
                 s.boards, s.board.totalCores(), o.tenants);
-    std::printf("policy      %s on-core, %s placement, %s engine\n",
-                r.policy.c_str(), r.placement.c_str(),
-                engineName(s.engine).c_str());
+    std::printf("policy      %s on-core, %s placement\n",
+                r.policy.c_str(), r.placement.c_str());
     std::printf("horizon     %.3g cycles  (seed %llu%s)\n", o.horizon,
                 static_cast<unsigned long long>(s.seed),
                 s.smoke ? ", smoke" : "");
@@ -132,8 +129,7 @@ printClosedLoop(const Scenario &s, const ScenarioOutcome &o)
     std::printf("mode        closed-loop core (%u tenants, >= %u "
                 "requests each)\n",
                 o.tenants, s.effectiveMinRequests());
-    std::printf("policy      %s, %s engine\n", r.policy.c_str(),
-                engineName(s.engine).c_str());
+    std::printf("policy      %s\n", r.policy.c_str());
     std::printf("core        ME useful %.1f%%  VE %.1f%%  makespan "
                 "%.3f ms  %.0f req/s total\n",
                 100.0 * r.meUsefulUtil, 100.0 * r.veUtil,
@@ -155,7 +151,6 @@ run(int argc, char **argv)
     bool force_smoke = false;
     bool has_seed = false;
     std::uint64_t seed = 0;
-    std::string engine_name;
     bool has_threads = false;
     unsigned threads = 0;
     std::string placement_name;
@@ -170,8 +165,6 @@ run(int argc, char **argv)
         } else if (std::strncmp(arg, "--seed=", 7) == 0) {
             seed = parseUint64(arg + 7, "--seed");
             has_seed = true;
-        } else if (std::strncmp(arg, "--engine=", 9) == 0) {
-            engine_name = arg + 9;
         } else if (std::strncmp(arg, "--threads=", 10) == 0) {
             threads = static_cast<unsigned>(
                 parseUint64(arg + 10, "--threads"));
@@ -211,8 +204,6 @@ run(int argc, char **argv)
         s.smoke = true;
     if (has_seed)
         s.seed = seed;
-    if (!engine_name.empty())
-        s.engine = engineFromName(engine_name);
     if (has_threads)
         s.threads = threads;
     if (!placement_name.empty())
