@@ -14,8 +14,7 @@
  * the scenario library (src/scenario, docs/SCENARIOS.md). The
  * canonical configuration lives in scenarios/cluster_first_fit.scn
  * and the sweep only varies placement, traffic shape and core policy
- * on top of the loaded file; tests/test_scenario_parity.cpp pins the
- * scenario files to the historical hand-wired configs field-by-field.
+ * on top of the loaded file.
  *
  * Usage: bench_cluster_serving [placement] [core-policy]
  *   placement    first-fit | best-fit | load-balanced (default: all)
@@ -38,7 +37,7 @@ namespace
 
 /** The canonical fleet (tenant mix, rates, SLOs, horizon): one
  * committed scenario file, shared with tools/neu10_run and the
- * parity/golden test suites. */
+ * golden test suite. */
 const char *const kBaseScenario =
     NEU10_SCENARIO_DIR "/cluster_first_fit.scn";
 

@@ -4,12 +4,18 @@
  * the nine collocated workload pairs under PMT, V10, Neu10-NH and
  * Neu10 — the paper's headline evaluation. Values are normalized to
  * PMT, as in the figures.
+ *
+ * Every cell is scenarios/paper_closed_loop_bert_enet.scn (the §V-A
+ * closed-loop methodology) with only the core policy and the two
+ * tenants' model and batch replaced.
  */
 
 #include <cstdio>
 
 #include "bench_util.hh"
 #include "runtime/serving.hh"
+#include "scenario/runner.hh"
+#include "scenario/scenario.hh"
 
 using namespace neu10;
 
@@ -25,19 +31,17 @@ const PolicyKind kPolicies[4] = {PolicyKind::Pmt, PolicyKind::V10,
                                  PolicyKind::Neu10NH, PolicyKind::Neu10};
 
 Row
-runPair(const WorkloadPair &pair)
+runPair(const Scenario &cell, const WorkloadPair &pair)
 {
+    Scenario s = cell;
+    s.groups[0].model = pair.w1;
+    s.groups[0].batch = pair.batch1;
+    s.groups[1].model = pair.w2;
+    s.groups[1].batch = pair.batch2;
     Row row;
     for (int p = 0; p < 4; ++p) {
-        ServingConfig cfg;
-        cfg.policy = kPolicies[p];
-        cfg.tenants = {
-            {pair.w1, pair.batch1, 2, 2, 1.0, 1},
-            {pair.w2, pair.batch2, 2, 2, 1.0, 1},
-        };
-        cfg.minRequests = 10;
-        cfg.maxCycles = 3e9;
-        row.res[p] = runServing(cfg);
+        s.corePolicy = kPolicies[p];
+        row.res[p] = runServing(toServingConfig(s));
     }
     return row;
 }
@@ -47,10 +51,24 @@ runPair(const WorkloadPair &pair)
 int
 main()
 {
-    const auto pairs = bench::smokeTrim(evaluationPairs());
+    Scenario cell;
+    try {
+        cell = loadScenarioFile(NEU10_SCENARIO_DIR
+                                "/paper_closed_loop_bert_enet.scn");
+        applyEnvOverrides(cell);
+        if (cell.groups.size() != 2 || cell.totalTenants() != 2)
+            fatal("%s: a workload-pair cell needs exactly two "
+                  "single-tenant groups", cell.file.c_str());
+    } catch (const FatalError &err) {
+        bench::usageError(err);
+    }
+
+    auto pairs = evaluationPairs();
+    if (cell.smoke && pairs.size() > 2)
+        pairs.resize(2);
     std::vector<Row> rows;
     for (const auto &pair : pairs)
-        rows.push_back(runPair(pair));
+        rows.push_back(runPair(cell, pair));
 
     bench::header("Figure 19", "95th-percentile latency, normalized "
                                "to PMT (lower is better)");

@@ -66,14 +66,6 @@ summarize(const Scenario &s, const FleetResult &r)
     return out;
 }
 
-LlmSummary
-runScenarioFile(const char *path)
-{
-    Scenario s = loadScenarioFile(path);
-    applyEnvOverrides(s);
-    return summarize(s, runFleet(toFleetConfig(s)));
-}
-
 void
 printRow(const LlmSummary &s)
 {
@@ -92,22 +84,27 @@ printRow(const LlmSummary &s)
 int
 main()
 {
-    const bool smoke = bench::smokeMode();
-    const std::uint64_t seed = bench::benchSeed();
-
-    bench::header(
-        "LLM continuous batching",
-        csprintf("paged KV pool, 4 LLaMA2-13B endpoints, continuous "
-                 "vs static-batch at equal HBM (seed %llu%s)",
-                 static_cast<unsigned long long>(seed),
-                 smoke ? ", smoke" : ""));
-
     std::vector<LlmSummary> rows;
     try {
-        rows.push_back(
-            runScenarioFile(NEU10_SCENARIO_DIR "/llm_continuous.scn"));
-        rows.push_back(
-            runScenarioFile(NEU10_SCENARIO_DIR "/llm_static_batch.scn"));
+        std::vector<Scenario> scenarios;
+        for (const char *path :
+             {NEU10_SCENARIO_DIR "/llm_continuous.scn",
+              NEU10_SCENARIO_DIR "/llm_static_batch.scn"}) {
+            scenarios.push_back(loadScenarioFile(path));
+            applyEnvOverrides(scenarios.back());
+        }
+
+        bench::header(
+            "LLM continuous batching",
+            csprintf("paged KV pool, 4 LLaMA2-13B endpoints, "
+                     "continuous vs static-batch at equal HBM "
+                     "(seed %llu%s)",
+                     static_cast<unsigned long long>(
+                         scenarios[0].seed),
+                     scenarios[0].smoke ? ", smoke" : ""));
+
+        for (const Scenario &s : scenarios)
+            rows.push_back(summarize(s, runFleet(toFleetConfig(s))));
     } catch (const FatalError &err) {
         bench::usageError(err);
     }

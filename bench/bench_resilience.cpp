@@ -14,7 +14,7 @@
  * compares served/lost/recovered counts, goodput, p99 and
  * availability; the shape check asserts the failover run recovers
  * >= 90% of the requests the baseline lost — deterministically for
- * the given seed.
+ * the given seed — and the exit status is 1 when it does not.
  *
  * Part 2 — fault-rate sweep: a seeded stochastic fault trace
  * (transient MMIO/DMA retries, core stalls, board losses with
@@ -27,8 +27,7 @@
  * is a thin wrapper over the scenario library (src/scenario,
  * docs/SCENARIOS.md) loading scenarios/resilience_board_loss.scn;
  * part 1 flips its failover flag, part 2 swaps its fault line for
- * generated traces. tests/test_scenario_parity.cpp pins the file to
- * the historical hand-wired config field-by-field.
+ * generated traces.
  *
  * Usage: bench_resilience [epochs]
  *   epochs  serving epochs (failover granularity; default 10)
@@ -52,8 +51,8 @@ namespace
 {
 
 /** The acceptance fleet + board-loss fault trace, as a committed
- * scenario file shared with tools/neu10_run and the parity/golden
- * test suites. */
+ * scenario file shared with tools/neu10_run and the golden test
+ * suite. */
 const char *const kBaseScenario =
     NEU10_SCENARIO_DIR "/resilience_board_loss.scn";
 
@@ -72,7 +71,9 @@ row(const char *name, const FleetResult &r)
                 100.0 * r.availability, bench::toMs(r.mttrCycles));
 }
 
-void
+/** Part 1; returns whether the failover run passed the recovery
+ * check. */
+bool
 partBoardLoss(const Scenario &scn)
 {
     auto variant = [&](bool failover) {
@@ -146,6 +147,7 @@ partBoardLoss(const Scenario &scn)
                 bench::toMs(base.p99()), bench::toMs(fo.p99()),
                 100.0 * fo.availability,
                 bench::toMs(fo.mttrCycles));
+    return ok;
 }
 
 void
@@ -231,7 +233,7 @@ main(int argc, char **argv)
         csprintf("fault injection + vNPU failover (seed %llu)",
                  static_cast<unsigned long long>(base.seed)));
 
-    partBoardLoss(base);
+    const bool recovered = partBoardLoss(base);
     partFaultSweep(base);
-    return 0;
+    return recovered ? 0 : 1;
 }

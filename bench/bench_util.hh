@@ -4,13 +4,12 @@
  *
  * Every bench prints: a header naming the paper artifact it
  * regenerates, the fixed-width data table(s), and a short "shape"
- * summary line the EXPERIMENTS.md comparison quotes.
+ * summary line.
  */
 
 #ifndef NEU10_BENCH_BENCH_UTIL_HH
 #define NEU10_BENCH_BENCH_UTIL_HH
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -65,55 +64,6 @@ smokeTrim(std::vector<T> v, std::size_t keep = 2)
     return v;
 }
 
-/**
- * Rng seed for stochastic benches: NEU10_SEED=<n> overrides the
- * compiled-in default so bench and smoke runs are reproducible (or
- * deliberately varied) without recompiling. Parsed as base-10/0x...
- * by common/env; a non-numeric, signed, or overflowing value exits
- * with a clear error — a silently defaulted seed would record an
- * irreproducible experiment.
- */
-inline std::uint64_t
-benchSeed(std::uint64_t fallback = 42)
-{
-    try {
-        return envUint64("NEU10_SEED", fallback);
-    } catch (const FatalError &err) {
-        usageError(err);
-    }
-}
-
-/**
- * True when NEU10_TRACE is set truthy (common/env grammar: on/1/
- * true/yes): trace-capable benches (bench_cluster_serving,
- * bench_resilience) then run with sim-time tracing enabled and write
- * a Chrome trace-event JSON file — plus a metrics JSON next to it —
- * after the run. Off by default: the overhead contract
- * (docs/OBSERVABILITY.md) is measured with tracing compiled in but
- * disabled.
- */
-inline bool
-traceMode()
-{
-    try {
-        return envFlag("NEU10_TRACE", false);
-    } catch (const FatalError &err) {
-        usageError(err);
-    }
-}
-
-/**
- * Trace output path: NEU10_TRACE_OUT when set, @p fallback
- * otherwise. The metrics JSON lands at "<path>.metrics.json".
- * Scenario-backed benches get this via applyEnvOverrides instead
- * (scenario/scenario.hh), which uses the same envString grammar.
- */
-inline std::string
-traceOutPath(const char *fallback)
-{
-    return envString("NEU10_TRACE_OUT", fallback);
-}
-
 /** Print the bench banner. */
 inline void
 header(const std::string &artifact, const std::string &what)
@@ -154,13 +104,6 @@ inline double
 toMs(double cycles)
 {
     return Clock().toSeconds(cycles) * 1e3;
-}
-
-/** Cycles -> microseconds on the Table II clock. */
-inline double
-toUs(double cycles)
-{
-    return Clock().toSeconds(cycles) * 1e6;
 }
 
 } // namespace bench

@@ -86,9 +86,8 @@ toFleetConfig(const Scenario &s)
         cfg.resilience.faults.push_back(f);
     }
 
-    // Size each group's vNPU once (the benches' `service[k]` idiom);
-    // rates and SLOs derive from the same estimate with the same
-    // expressions, so parity with the hand-wired configs is exact.
+    // Size each group's vNPU once; every tenant's rate and SLO
+    // derive from that one estimate.
     std::vector<Cycles> service(s.groups.size(), 0.0);
     for (unsigned k = 0; k < s.groups.size(); ++k) {
         const ScenarioTenantGroup &g = s.groups[k];

@@ -4,15 +4,12 @@
  * configs (cluster/fleet, runtime/serving), run it, and render the
  * outcome as machine-readable JSON.
  *
- * Expansion is the exact idiom the hand-wired benches use, expression
- * for expression: per-group vNPU sizing via the §III-B allocator,
+ * Expansion: per-group vNPU sizing via the §III-B allocator,
  * `rho x freq / serviceEstimate` offered rates, `sloFactor x
  * serviceEstimate` SLOs, `seed + globalIndex` stream seeding, and
- * round-robin group interleave (the benches' `i % 4` pattern). The
- * differential parity suite (tests/test_scenario_parity.cpp) pins a
- * committed scenario file to its bench's config path field-by-field
- * with exact equality, so the scenario library and the benches can
- * never drift apart silently.
+ * round-robin group interleave. The ScenarioExpand tests pin this
+ * mapping key by key; the goldens pin the results of every committed
+ * file.
  *
  * The JSON record follows the determinism contract: stable key
  * order, no wall-clock or host-dependent fields, and doubles printed

@@ -12,10 +12,9 @@
  * SLOs and tracing — in an INI-style text format
  * (sections + `key = value` lines), so adding a workload is a file
  * drop, not a binary. The committed library lives under `scenarios/`
- * and `tools/neu10_run` executes any of them; the converted benches
- * (bench_cluster_serving, bench_resilience) are thin wrappers over
- * the same loader, with differential parity tests pinning the files
- * to the original hand-wired configs field-by-field.
+ * and `tools/neu10_run` executes any of them; the fleet and paper
+ * benches load their experiment from the same files, and the
+ * byte-exact goldens (scenarios/goldens/) pin what each file runs.
  *
  * Parsing follows the hardened common/env contract: anything but a
  * clean parse fails loudly with a diagnostic naming the file, the
@@ -240,7 +239,7 @@ Scenario loadScenarioFile(const std::string &path);
 /**
  * Apply the harness environment knobs to a loaded scenario — the one
  * place the NEU10_* plumbing lives for every scenario consumer
- * (tools/neu10_run and the converted benches):
+ * (tools/neu10_run and the scenario-backed benches):
  *
  *  - NEU10_SEED   overrides Scenario::seed (beats the file value);
  *  - NEU10_SMOKE  sets Scenario::smoke (swaps in the smoke knobs);

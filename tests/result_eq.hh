@@ -1,12 +1,11 @@
 /**
  * @file
- * Exact-equality comparators for simulation results, shared by the
- * LLM thread-invariance test (test_llm) and the scenario parity suite
- * (test_scenario_parity).
+ * Exact-equality comparators for fleet results, used by the LLM
+ * thread-invariance and determinism tests (test_llm).
  *
  * "Equal" here is literal: every counter, every stamp, every latency
  * sample and every derived double is compared with exact equality,
- * no tolerances. Two configs that are supposed to describe the same
+ * no tolerances. Two runs that are supposed to describe the same
  * experiment must produce bit-identical results; anything less means
  * the two paths have silently drifted apart.
  */
@@ -76,20 +75,6 @@ expectTenantEq(const TenantResult &a, const TenantResult &b,
     ASSERT_EQ(a.backlog.size(), b.backlog.size());
     for (size_t i = 0; i < a.backlog.size(); ++i)
         ASSERT_EQ(a.backlog[i], b.backlog[i]) << "backlog " << i;
-}
-
-inline void
-expectServingEq(const ServingResult &a, const ServingResult &b)
-{
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.meUsefulUtil, b.meUsefulUtil);
-    EXPECT_EQ(a.meHeldUtil, b.meHeldUtil);
-    EXPECT_EQ(a.veUtil, b.veUtil);
-    EXPECT_EQ(a.avgHbmBytesPerCycle, b.avgHbmBytesPerCycle);
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (size_t i = 0; i < a.tenants.size(); ++i)
-        expectTenantEq(a.tenants[i], b.tenants[i], i);
 }
 
 inline void

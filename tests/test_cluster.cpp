@@ -923,8 +923,9 @@ TEST(Fleet, ThreadCountDoesNotChangeResults)
     }
 }
 
-/** The bench_fleet_scaling part-2 scenario, shrunk: 8 overloaded
- * 2-EU tenants first-fit-stacked onto 2 of 8 cores, bursty traffic. */
+/** The scenarios/fleet_{static,elastic}.scn pair at its smoke
+ * horizon: 8 overloaded 2-EU tenants first-fit-stacked onto 2 of 8
+ * cores, bursty traffic. */
 FleetConfig
 imbalancedFleet(unsigned epochs, unsigned threads = 1)
 {

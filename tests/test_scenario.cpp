@@ -4,8 +4,8 @@
  * declarative scenario format (src/scenario, docs/SCENARIOS.md) must
  * accept every documented construct, reject every malformed one with
  * a file:line diagnostic whose wording names the offending text and
- * the accepted vocabulary, and expand into engine configs with the
- * exact expressions the hand-wired benches use.
+ * the accepted vocabulary, and expand into engine configs key by key
+ * (the ScenarioExpand cases), defaults included.
  *
  * The negative-path cases pin the diagnostic wording on purpose: a
  * scenario author's only debugging tool is the error message, so a
@@ -1110,6 +1110,9 @@ TEST(ScenarioExpand, ServingConfigFields)
     EXPECT_EQ(cfg.tenants[0].priority, 2.0);
     EXPECT_EQ(cfg.tenants[1].nMes, 3u);
     EXPECT_EQ(cfg.tenants[1].nVes, 1u);
+    // Unset closed-loop knobs keep the §V-A defaults.
+    EXPECT_EQ(cfg.tenants[1].outstanding, 1u);
+    EXPECT_EQ(cfg.tenants[1].priority, 1.0);
 
     s.smoke = true;
     EXPECT_EQ(toServingConfig(s).minRequests, 3u);

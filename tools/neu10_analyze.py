@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Whole-program determinism certifier for the neu10 source tree.
 
-Every published artifact — scenario goldens, parity suites and the
+Every published artifact — scenario goldens, bench tables and the
 bit-identical-across-thread-widths contract — assumes nothing in the
 simulation hot path can observe wall-clock time, unseeded randomness,
 the environment, thread identity, or hash-order iteration. The token
