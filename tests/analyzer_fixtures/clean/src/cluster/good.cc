@@ -1,4 +1,4 @@
-// Lint fixture: idioms the determinism lint must NOT flag — the
+// Fixture: idioms the determinism analyzer must NOT flag — the
 // seeded Rng, sorted-after-iteration behind an allow(), sentinel
 // equality behind an allow(), deleted special members, and variables
 // that merely *name-collide* with banned calls (Clock clock(...)).

@@ -1,7 +1,7 @@
-// Lint fixture: the deterministic obs/ export idiom — an ordered map
+// Fixture: the deterministic obs/ export idiom — an ordered map
 // keyed by track index, so iteration order is the export order by
 // construction. The unordered staging map is only ever *indexed*,
-// never iterated; the lint must stay silent.
+// never iterated; the analyzer must stay silent.
 #include <map>
 #include <string>
 #include <unordered_map>

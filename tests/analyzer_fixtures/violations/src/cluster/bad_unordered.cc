@@ -1,5 +1,5 @@
-// Lint fixture: hash-order iteration feeding a *Result in the same
-// file. Never compiled — test_lint_tools.py asserts the flags.
+// Fixture: hash-order iteration over an unordered parameter and a
+// local, both feeding a *Result. Never compiled.
 #include <cstdint>
 #include <unordered_map>
 #include <unordered_set>

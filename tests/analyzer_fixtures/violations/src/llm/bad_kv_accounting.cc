@@ -1,9 +1,9 @@
-// Lint fixture: the two determinism bugs the llm/ scope exists to
+// Fixture: the two determinism bugs the llm/ scope exists to
 // catch — exact FP equality in KV-page accounting and hash-order
 // iteration over per-sequence page books (llm/ is a deterministic-
 // export scope, so the rule fires on the path alone, no *Result
-// type needed). Never compiled — test_lint_tools.py asserts the
-// flags.
+// type needed). Never compiled.
+//
 #include <cstdint>
 #include <unordered_map>
 #include <vector>

@@ -1,5 +1,5 @@
-// Lint fixture: every banned randomness source in one file. Never
-// compiled — tests/test_lint_tools.py asserts each line is flagged.
+// Fixture: every banned randomness source in one file, none of it
+// reachable from a sim entry point. Never compiled.
 #include <cstdlib>
 #include <ctime>
 #include <random>

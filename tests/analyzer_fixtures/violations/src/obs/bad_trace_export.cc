@@ -1,8 +1,8 @@
-// Lint fixture: hash-order iteration on an obs/ export path. No
+// Fixture: hash-order iteration on an obs/ export path. No
 // *Result type appears anywhere in this file — the rule must fire on
 // the path scope alone, because the exported byte stream is what the
-// trace determinism tests compare. Never compiled —
-// test_lint_tools.py asserts the flags.
+// trace determinism tests compare; `tracks` is a parameter. Never
+// compiled.
 #include <string>
 #include <unordered_map>
 #include <vector>

@@ -1,5 +1,5 @@
-// Lint fixture: naked new/delete ownership. Never compiled —
-// test_lint_tools.py asserts the flags.
+// Fixture: naked new/delete ownership. Never compiled.
+//
 struct Buffer
 {
     int *data = nullptr;

@@ -2,9 +2,9 @@
 // naked new it once covered became a unique_ptr — and must itself be
 // flagged at its own line. The second still suppresses a live
 // banned-random finding, so it must NOT be reported. The third names
-// an analyzer-only rule; that vocabulary belongs to
-// tools/neu10_analyze.py, so the lint must neither reject nor
-// stale-flag it.
+// a whole-program rule that does not fire on its line (the global
+// below is a mutable-global finding, not impure-path), so it is as
+// stale as the first.
 #include <cstdlib>
 #include <memory>
 
@@ -30,7 +30,7 @@ legacyDraw()
     return rand();
 }
 
-// neu10-lint: allow(impure-path): analyzer-owned vocabulary
+// neu10-lint: allow(impure-path): waives the wrong rule
 int g_shim_calls = 0;
 
 } // namespace neu10

@@ -1,5 +1,5 @@
-// Lint fixture: exact floating-point equality in allocator-scope
-// code. Never compiled — test_lint_tools.py asserts the flags.
+// Fixture: exact floating-point equality in allocator-scope
+// code. Never compiled.
 #include <vector>
 
 using Cycles = double;

@@ -1,32 +1,44 @@
 #!/usr/bin/env python3
-"""Whole-program determinism certifier for the neu10 source tree.
+"""Determinism certifier for the neu10 source tree.
 
 Every published artifact — scenario goldens, bench tables and the
 bit-identical-across-thread-widths contract — assumes nothing in the
-simulation hot path can observe wall-clock time, unseeded randomness,
-the environment, thread identity, or hash-order iteration. The token
-lint (tools/lint_determinism.py) checks single lines against a
-hand-maintained scope list; this tool builds a cross-TU call graph
-of src/ and certifies the assumption whole-program:
+simulation can observe wall-clock time, unseeded randomness, the
+environment, thread identity, hash order or allocator order. This
+tool checks that assumption over src/ with eight rules. Three are
+per-file text scans, run the same under every frontend:
+
+  banned-random    a wall-clock read (std::chrono *_clock, time(),
+                   clock(), gettimeofday/clock_gettime) anywhere, or
+                   unseeded randomness (rand(), std::random_device)
+                   outside common/random — the BANNED_SOURCES rows of
+                   those two categories, reachable or not. Every
+                   stochastic element draws from the seeded Rng.
+  float-eq         == / != where either operand is a floating-point
+                   literal or a variable declared double/float/Cycles,
+                   in allocator/accounting code (vnpu/, stats/, sched/,
+                   cluster/, llm/) — exact FP equality on computed
+                   values is how cross-platform drift enters the books.
+  naked-new        naked new / delete — owning raw pointers defeat the
+                   lifetime cleanliness the ASan gate checks.
+
+Four are whole-program rules over a cross-TU call graph of src/:
 
   impure-path      purity reachability: from the sim entry points
                    (runFleet, runServing, runLlmServing, runScenario,
                    the NpuCoreSim advance path) no call chain may
-                   reach a nondeterminism source — std::chrono
-                   *_clock::now, time()/gettimeofday/clock_gettime,
-                   rand()/std::random_device outside common/random,
-                   getenv outside common/env,
+                   reach any BANNED_SOURCES row — the banned-random
+                   sources plus getenv outside common/env,
                    std::this_thread::get_id, or stdout/stderr stream
                    writes outside common/logging. Each violation is
                    reported as the full chain entry -> ... -> banned,
                    with file:line for every hop.
-  unordered-iter   type-based result determinism: iteration over a
-                   variable or member whose declared type is
-                   std::unordered_map/unordered_set, inside a
-                   function that produces *Result data or exports
-                   JSON. Unlike the lint's path list, coverage comes
-                   from the types in use, so new subsystems are
-                   covered by default.
+  unordered-iter   iteration over a variable, parameter or member
+                   whose declared type is std::unordered_map/
+                   unordered_set, inside a function that produces
+                   *Result data or exports JSON, or anywhere under
+                   obs/ (the trace/metrics byte streams) and llm/ (the
+                   KV-page books behind the byte-exact goldens).
   mutable-global   shared-state audit: every non-const namespace- or
                    static-storage variable in src/ must be const,
                    constexpr, std::atomic, thread_local, or
@@ -35,32 +47,37 @@ of src/ and certifies the assumption whole-program:
                    by a raw pointer — the order is the allocator's,
                    not the program's.
 
-Frontends (--frontend, default "auto" = best available):
+The eighth audits the escape hatch. Deliberate exceptions carry an
+inline directive on the finding line or directly above it (comment
+lines between the directive and the code are skipped), naming the
+rule they waive and why:
+
+    // neu10-lint: allow(float-eq): kInf is an exact sentinel
+
+  stale-allow      a directive naming a rule that suppressed no
+                   finding — the code it excused was fixed or moved,
+                   so the directive must be removed, not rot.
+
+A rule name outside these eight is a setup error.
+
+Frontends (--frontend, default "auto" = libclang when importable):
 
   libclang   clang.cindex over compile_commands.json — genuine AST
              and type queries. Needs the libclang Python bindings
              (apt: python3-clang).
-  ast-json   `clang++ -Xclang -ast-dump=json` per TU — same AST,
-             driver only, no bindings needed.
   textual    pure-Python scanner/scope-tracker — no clang at all.
              Approximates types from declaration text; keeps the
              gate alive on toolchain-less runners.
 
-Requesting libclang/ast-json explicitly when unavailable exits 2
-with a clear message; "auto" degrades (with a warning) instead so CI
-always gets a verdict. Deliberate exceptions use the same escape as
-the lint, anchored to the finding line (same or immediately
-preceding line):
-
-    // neu10-lint: allow(impure-path): why this one is sound
-
-Findings are emitted as schema-versioned JSON (--json PATH, schema
-"neu10-analyze-v1") even on clean runs. --cache-dir caches per-file
-parse results keyed on content digest so repeated CI runs only
-re-parse what changed.
+Requesting libclang explicitly when unavailable exits 2 with a clear
+message; "auto" degrades (with a warning) instead so CI always gets a
+verdict. Findings are emitted as schema-versioned JSON (--json PATH,
+schema "neu10-analyze-v1") even on clean runs. --cache-dir caches
+per-file parse results keyed on content digest so repeated CI runs
+only re-parse what changed.
 
 Usage: python3 tools/neu10_analyze.py [--root DIR] [--build-dir DIR]
-           [--frontend auto|libclang|ast-json|textual] [--json PATH]
+           [--frontend auto|libclang|textual] [--json PATH]
            [--cache-dir DIR] [--entry NAME]... [--list-rules]
 Exit status: 0 clean, 1 findings, 2 setup error.
 """
@@ -68,26 +85,28 @@ Exit status: 0 clean, 1 findings, 2 setup error.
 import argparse
 import hashlib
 import json
-import os
 import pathlib
 import re
-import shutil
-import subprocess
 import sys
 
 SCHEMA = "neu10-analyze-v1"
 # Bump to invalidate --cache-dir entries when parsing/IR changes.
-IR_VERSION = 8
+IR_VERSION = 9
 
 RULES = {
+    "banned-random": "wall-clock read, or unseeded randomness "
+                     "outside common/random",
+    "float-eq": "floating-point ==/!= in allocator/accounting code",
+    "naked-new": "naked new/delete",
     "impure-path": "call chain from a sim entry point reaches a "
                    "nondeterminism source",
-    "unordered-iter": "hash-order iteration feeding *Result data or "
-                      "JSON export (type-based)",
+    "unordered-iter": "hash-order iteration feeding *Result/JSON data "
+                      "or under obs/, llm/",
     "mutable-global": "non-const global/static neither atomic, "
                       "thread_local nor NEU10_GUARDED_BY-annotated",
     "pointer-key-iter": "ordered iteration over a raw-pointer-keyed "
                         "map/set",
+    "stale-allow": "allow() directive that suppresses nothing",
 }
 
 # Default purity roots: the fleet driver, both serving loops, the
@@ -102,14 +121,14 @@ DEFAULT_ENTRIES = [
     "NpuCoreSim::onEvent",
 ]
 
-# Nondeterminism sources for impure-path: (category, regex, human
-# name, path fragments whose files may use the source legitimately).
-# time()/clock() additionally pass the call-site heuristic below so
-# `Clock clock(freq)` declarations do not fire.
+# Nondeterminism sources: (category, regex, human name, path
+# fragments whose files may use the source legitimately). impure-path
+# reports every row reachable from an entry point; banned-random
+# reports the RANDOM_CATEGORIES rows anywhere in the tree.
 BANNED_SOURCES = [
     ("wall-clock",
-     re.compile(r"\b(?:system|steady|high_resolution)_clock\s*::\s*now\b"),
-     "std::chrono clock now()", ()),
+     re.compile(r"\b(?:system|steady|high_resolution)_clock\b"),
+     "std::chrono clock", ()),
     ("wall-clock", re.compile(r"\b(?:gettimeofday|clock_gettime)\s*\("),
      "gettimeofday()/clock_gettime()", ()),
     ("wall-clock", re.compile(r"(?<![\w.:>])(?:std::)?time\s*\("),
@@ -134,7 +153,11 @@ BANNED_SOURCES = [
      "fprintf(stdout/stderr)", ("common/logging",)),
 ]
 
-CALL_HEURISTIC = {"time", "clock", "rand", "srand"}
+RANDOM_CATEGORIES = ("wall-clock", "unseeded-random")
+
+# Sources that must also read as a call site (see looks_like_call),
+# so `Clock clock(freq)` declarations do not fire.
+CALL_HEURISTIC = {"time()", "clock()", "rand()/srand()"}
 
 CALL_PREFIX_KEYWORDS = {"return", "case", "if", "while", "for", "do",
                         "else", "switch", "co_return", "co_yield",
@@ -149,12 +172,21 @@ KEYWORD_NONCALLS = {
     "co_yield", "co_return", "explicit", "typeid", "using",
 }
 
+# float-eq only applies to allocator/accounting code. llm/ qualifies:
+# KV-page occupancy/fragmentation accounting is FP and feeds goldens.
+FLOAT_EQ_SCOPES = ("vnpu/", "stats/", "sched/", "cluster/", "llm/")
+# unordered-iter covers every function under these deterministic-
+# export scopes, result-typed or not: obs/ writes the trace/metrics
+# byte streams the identity tests compare, and llm/'s per-sequence KV
+# books feed the byte-exact scenario goldens.
+EXPORT_SCOPES = ("obs/", "llm/")
+
 ALLOW_RE = re.compile(r"neu10-lint:\s*allow\(([a-z\-,\s]+)\)")
 RESULT_TYPE_RE = re.compile(r"\b[A-Z]\w*Result\b")
 JSON_NAME_RE = re.compile(r"[Jj]son|JSON")
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set)\s*<.*>[&\s]*([A-Za-z_]\w*)\s*[;({=\[,)]")
-UNORDERED_TYPE_RE = re.compile(r"\bunordered_(?:map|set)\b")
+UNORDERED_OPEN_RE = re.compile(r"\bunordered_(?:map|set)\s*<")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*:\s*([A-Za-z_]\w*)")
 # `.begin()` starts a walk; a lone `.end()` is the find()-lookup
 # idiom and carries no order dependence.
@@ -167,11 +199,20 @@ CTOR_DECL_RE = re.compile(
     r"(?<![\w.:>])([A-Z]\w*)(?:\s*<[^<>;]*>)?\s+[A-Za-z_]\w*\s*[({]")
 ORDERED_PTR_RE = re.compile(
     r"\b(?:std\s*::\s*)?(?:multi)?(?:map|set)\s*<")
+FLOAT_LITERAL_RE = re.compile(r"(?<![\w.])(?:\d+\.\d*|\.\d+|\d+e[-+]?\d+)f?")
+FLOAT_DECL_RE = re.compile(
+    r"\b(?:double|float|Cycles)\b[^;=(]*?([A-Za-z_]\w*)\s*[;({=\[,]")
+FLOAT_TMPL_DECL_RE = re.compile(
+    r"<\s*(?:double|float|Cycles)\s*>[&\s]*([A-Za-z_]\w*)\s*[;({=\[]")
+CMP_RE = re.compile(r"([A-Za-z_][\w.\[\]>-]*|[^=!<>]\S*)\s*[=!]=\s*"
+                    r"([A-Za-z_][\w.\[\]>-]*|\S+)")
+NEW_RE = re.compile(r"(?<![\w.:>])new\s+[A-Za-z_(]")
+DELETE_RE = re.compile(r"(?<![\w.:>])delete\b(?!d)")
 TEXT_EXTS = (".cc", ".cpp", ".cxx", ".hh", ".hpp", ".h")
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers (mirrors tools/lint_determinism.py semantics)
+# Text helpers and the per-file rules
 # ---------------------------------------------------------------------------
 
 def strip_comments_and_strings(text):
@@ -229,39 +270,106 @@ def strip_comments_and_strings(text):
 
 
 def looks_like_call(line, start):
+    """True when the match at line[start:] is a call site rather than
+    a declaration of a same-named variable."""
     prefix = line[:start].rstrip()
     if not prefix:
         return True
     if prefix[-1].isalnum() or prefix[-1] == "_":
         word = re.search(r"([A-Za-z_]\w*)$", prefix)
         return bool(word) and word.group(1) in CALL_PREFIX_KEYWORDS
-    return prefix[-1] not in "&*>"
+    return prefix[-1] not in "&*>"  # `Clock &clock(`, `Foo *time(`
 
 
-def collect_allows(raw_lines, code_lines):
-    """Line -> set of waived rules. A directive anchors to its own
-    line and the next line holding code (comment-only continuation
-    lines are skipped). Unknown rule names are ignored here — the
-    lint owns its vocabulary, this tool owns RULES."""
-    allows = {}
+def banned_uses(line):
+    """(category, what, exempt) for each BANNED_SOURCES row the code
+    line uses."""
+    for category, rx, what, exempt in BANNED_SOURCES:
+        m = rx.search(line)
+        if m and (what not in CALL_HEURISTIC or
+                  looks_like_call(line, m.start())):
+            yield category, what, exempt
+
+
+def under(rel_posix, fragments):
+    return any(frag in rel_posix for frag in fragments)
+
+
+def collect_allows(rel, raw_lines, code_lines):
+    """Parse one file's allow() directives. Returns (allows,
+    directives): allows maps line -> {rule: directive}, where a
+    directive covers its own line and the next line holding code
+    (comment-only lines in between — the rest of the justification —
+    are skipped); each directive records which of its rules actually
+    suppressed a finding, for the stale-allow audit. A rule name
+    outside RULES is a setup error."""
+    allows, directives = {}, []
     for idx, line in enumerate(raw_lines, start=1):
         m = ALLOW_RE.search(line)
         if not m:
             continue
-        rules = {r.strip() for r in m.group(1).split(",")
-                 if r.strip() in RULES}
-        if not rules:
-            continue
-        allows.setdefault(idx, set()).update(rules)
+        rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
+        unknown = rules - set(RULES)
+        if unknown:
+            print(f"{rel}:{idx}: unknown rule(s) in allow(): "
+                  f"{', '.join(sorted(unknown))}", file=sys.stderr)
+            raise SystemExit(2)
+        directive = {"file": rel, "line": idx, "rules": rules,
+                     "consumed": set()}
+        directives.append(directive)
+        covered = [idx]
         for j in range(idx + 1, len(code_lines) + 1):
-            allows.setdefault(j, set()).update(rules)
+            covered.append(j)
             if code_lines[j - 1].strip():
                 break
-    return allows
+        for j in covered:
+            allows.setdefault(j, {}).update(
+                dict.fromkeys(rules, directive))
+    return allows, directives
 
 
-def is_exempt(rel_posix, fragments):
-    return any(frag in rel_posix for frag in fragments)
+def base_identifier(expr):
+    """Leading identifier of an expression like open[i].second."""
+    m = re.match(r"\s*[&*(]*([A-Za-z_]\w*)", expr)
+    return m.group(1) if m else ""
+
+
+def text_rules(rel, code_lines):
+    """The per-file rules (banned-random, float-eq, naked-new) over
+    one file's comment- and string-blanked lines."""
+    findings = []
+
+    def report(lineno, rule, message):
+        findings.append({"rule": rule, "file": rel, "line": lineno,
+                         "message": message})
+
+    for lineno, line in enumerate(code_lines, start=1):
+        for category, what, exempt in banned_uses(line):
+            if category in RANDOM_CATEGORIES and not under(rel, exempt):
+                report(lineno, "banned-random",
+                       f"{what} — draw from the seeded common/random "
+                       "Rng instead")
+        if NEW_RE.search(line):
+            report(lineno, "naked-new",
+                   "naked 'new' — use a container or smart pointer")
+        if DELETE_RE.search(line) and "= delete" not in line:
+            report(lineno, "naked-new",
+                   "naked 'delete' — use a container or smart pointer")
+
+    if under(rel, FLOAT_EQ_SCOPES):
+        float_names = {m.group(1) for line in code_lines
+                       for rx in (FLOAT_DECL_RE, FLOAT_TMPL_DECL_RE)
+                       for m in rx.finditer(line)}
+        for lineno, line in enumerate(code_lines, start=1):
+            for m in CMP_RE.finditer(line):
+                if any(FLOAT_LITERAL_RE.fullmatch(side.strip()) or
+                       base_identifier(side) in float_names
+                       for side in m.groups()):
+                    report(lineno, "float-eq",
+                           f"exact FP comparison '{m.group(0).strip()}'"
+                           " in accounting code — compare against an "
+                           "epsilon or restructure")
+    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +502,18 @@ def ptrkey_decl_names(stmt):
             continue
         m2 = re.match(r"[&\s]*([A-Za-z_]\w*)\s*[;({=\[]",
                       stmt[close_i:])
+        if m2:
+            names.append(m2.group(1))
+    return names
+
+
+def unordered_params(sig):
+    """Names of the std::unordered_map/set parameters in a flattened
+    function signature: the declarator right after each closing '>'."""
+    names = []
+    for m in UNORDERED_OPEN_RE.finditer(sig):
+        m2 = re.match(r"[&\s]*([A-Za-z_]\w*)\s*[,)=]",
+                      sig[close_angle(sig, m.end() - 1):])
         if m2:
             names.append(m2.group(1))
     return names
@@ -596,6 +716,7 @@ def parse_tu_textual(path, rel_posix):
         fn["result_flow"] = bool(RESULT_TYPE_RE.search(text)) or \
             bool(JSON_NAME_RE.search(fn["name"])) or \
             "ostream" in fn["sig"]
+        fn["locals_unordered"].extend(unordered_params(fn["sig"]))
         for ln, line in body_lines:
             for m in CALL_RE.finditer(line):
                 nm = re.sub(r"\s+", "", m.group(1))
@@ -612,14 +733,7 @@ def parse_tu_textual(path, rel_posix):
             for m in CTOR_DECL_RE.finditer(line):
                 if m.group(1) not in KEYWORD_NONCALLS:
                     fn["calls"].append([m.group(1), ln])
-            for category, rx, what, exempt in BANNED_SOURCES:
-                m = rx.search(line)
-                if not m:
-                    continue
-                base = re.sub(r"[^a-z_]", "", what.split("(")[0])
-                if what in ("time()", "clock()", "rand()/srand()") \
-                        and not looks_like_call(line, m.start()):
-                    continue
+            for category, what, exempt in banned_uses(line):
                 fn["banned"].append([category, what, ln, exempt])
             m = UNORDERED_DECL_RE.search(line)
             if m:
@@ -860,215 +974,6 @@ def parse_with_libclang(root, files, compile_args):
 
 
 # ---------------------------------------------------------------------------
-# clang -ast-dump=json frontend
-# ---------------------------------------------------------------------------
-
-def find_clang():
-    for cand in (os.environ.get("CLANGXX"), "clang++", "clang"):
-        if cand and shutil.which(cand):
-            return shutil.which(cand)
-    return None
-
-
-def parse_with_astjson(root, files, compile_args, clang_bin):
-    """Parse each file via `clang -Xclang -ast-dump=json` into the
-    shared IR. Raises on failure (caller falls back)."""
-    irs = []
-    for path in files:
-        rel_posix = path.relative_to(root).as_posix()
-        args = compile_args.get(str(path),
-                                ["-std=c++20", f"-I{root / 'src'}"])
-        cmd = [clang_bin, "-x", "c++", "-fsyntax-only",
-               "-Xclang", "-ast-dump=json", *args, str(path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0 and not proc.stdout:
-            raise RuntimeError(
-                f"{rel_posix}: clang failed: "
-                f"{proc.stderr.splitlines()[:1]}")
-        ast = json.loads(proc.stdout)
-        ir = {
-            "file": rel_posix, "functions": [],
-            "members_unordered": {}, "members_ptrkey": {},
-            "file_unordered": [], "file_ptrkey": [], "globals": [],
-        }
-        state = {"file": None, "line": 0}
-
-        def loc(node):
-            l = node.get("loc") or {}
-            if "file" in l:
-                state["file"] = l["file"]
-            if "line" in l:
-                state["line"] = l["line"]
-            sp = l.get("spellingLoc") or {}
-            if "file" in sp:
-                state["file"] = sp["file"]
-            if "line" in sp:
-                state["line"] = sp["line"]
-            return state["line"]
-
-        def in_main_file():
-            f = state["file"]
-            return f is None or \
-                pathlib.Path(f).resolve() == path.resolve()
-
-        def tspell(node):
-            return ((node.get("type") or {}).get("qualType", ""))
-
-        def is_unordered_t(t):
-            return "unordered_map" in t or "unordered_set" in t
-
-        def is_ptrkey_t(t):
-            m = re.search(r"\b(?:multi)?(?:map|set)<", t)
-            if not m or "unordered" in t[:m.start()]:
-                return False
-            inner = t[m.end():]
-            depth = 0
-            for i, ch in enumerate(inner):
-                if ch == "<":
-                    depth += 1
-                elif ch == ">" and depth:
-                    depth -= 1
-                elif ch == "," and depth == 0 or \
-                        (ch == ">" and depth == 0):
-                    return "*" in inner[:i]
-            return False
-
-        def walk_body(fn, node):
-            kind = node.get("kind", "")
-            line = loc(node)
-            if kind in ("CallExpr", "CXXMemberCallExpr",
-                        "CXXOperatorCallExpr"):
-                callee = find_callee(node)
-                if callee:
-                    fn["calls"].append([callee, line])
-                    for category, rx, what, exempt in BANNED_SOURCES:
-                        if rx.search(callee) or \
-                                rx.search(callee + "("):
-                            fn["banned"].append(
-                                [category, what, line, exempt])
-            elif kind == "DeclRefExpr":
-                ref = (node.get("referencedDecl") or {})
-                nm = ref.get("name", "")
-                qn = qual_of(ref)
-                full = qn + nm
-                for category, rx, what, exempt in BANNED_SOURCES:
-                    if rx.search(full) or rx.search(full + "("):
-                        fn["banned"].append(
-                            [category, what, line, exempt])
-            elif kind == "VarDecl":
-                t = tspell(node)
-                if is_unordered_t(t):
-                    fn["locals_unordered"].append(node.get("name", ""))
-                if is_ptrkey_t(t):
-                    fn["locals_ptrkey"].append(node.get("name", ""))
-                if RESULT_TYPE_RE.search(t):
-                    fn["result_flow"] = True
-            elif kind == "CXXForRangeStmt":
-                rng = (node.get("inner") or [])
-                for sub in rng:
-                    if sub.get("kind") == "DeclStmt":
-                        for d in sub.get("inner") or []:
-                            t = tspell(d)
-                            if is_unordered_t(t):
-                                fn["iters"].append(
-                                    [d.get("name", "(range)"), line])
-                                fn["locals_unordered"].append(
-                                    d.get("name", "(range)"))
-                            if is_ptrkey_t(t):
-                                fn["iters"].append(
-                                    [d.get("name", "(range)"), line])
-                                fn["locals_ptrkey"].append(
-                                    d.get("name", "(range)"))
-            for sub in node.get("inner") or []:
-                walk_body(fn, sub)
-
-        def qual_of(ref):
-            # ast-dump JSON carries no qualified name; approximate
-            # from the mangled name when present.
-            return ""
-
-        def find_callee(node):
-            for sub in node.get("inner") or []:
-                k = sub.get("kind")
-                if k == "ImplicitCastExpr":
-                    r = find_callee(sub)
-                    if r:
-                        return r
-                elif k in ("DeclRefExpr", "MemberExpr"):
-                    ref = sub.get("referencedDecl") or {}
-                    return ref.get("name") or sub.get("name", "")
-            return None
-
-        def walk(node, cls=""):
-            kind = node.get("kind", "")
-            line = loc(node)
-            if kind in ("FunctionDecl", "CXXMethodDecl",
-                        "CXXConstructorDecl", "CXXDestructorDecl") \
-                    and node.get("inner") and in_main_file():
-                has_body = any(s.get("kind") == "CompoundStmt"
-                               for s in node["inner"])
-                if has_body:
-                    nm = node.get("name", "(unknown)")
-                    fn = {
-                        "qname": (cls + "::" + nm) if cls else nm,
-                        "name": nm, "cls": cls, "file": rel_posix,
-                        "line": line,
-                        "end_line": ((node.get("range") or {})
-                                     .get("end", {}).get("line",
-                                                         line)),
-                        "calls": [], "banned": [], "iters": [],
-                        "locals_unordered": [], "locals_ptrkey": [],
-                        "result_flow": False,
-                        "sig": tspell(node),
-                    }
-                    if RESULT_TYPE_RE.search(tspell(node)) or \
-                            JSON_NAME_RE.search(nm) or \
-                            "ostream" in tspell(node):
-                        fn["result_flow"] = True
-                    for sub in node["inner"]:
-                        if sub.get("kind") == "CompoundStmt":
-                            walk_body(fn, sub)
-                    ir["functions"].append(fn)
-                    return
-            if kind == "FieldDecl" and in_main_file():
-                t = tspell(node)
-                if is_unordered_t(t):
-                    ir["members_unordered"].setdefault(
-                        cls or "(anon)", []).append(
-                            node.get("name", ""))
-                if is_ptrkey_t(t):
-                    ir["members_ptrkey"].setdefault(
-                        cls or "(anon)", []).append(
-                            node.get("name", ""))
-            if kind == "VarDecl" and in_main_file() and \
-                    node.get("name"):
-                t = tspell(node)
-                exempt_via = None
-                if "const" in t.split("*")[-1] or \
-                        t.startswith("const "):
-                    exempt_via = "const"
-                if "atomic" in t:
-                    exempt_via = "std::atomic"
-                if node.get("tls"):
-                    exempt_via = "thread_local"
-                if node.get("constexpr"):
-                    exempt_via = "constexpr"
-                ir["globals"].append({
-                    "name": node["name"], "line": line,
-                    "text": t[:120], "exempt_via": exempt_via,
-                })
-            next_cls = cls
-            if kind in ("CXXRecordDecl",) and node.get("name"):
-                next_cls = node["name"]
-            for sub in node.get("inner") or []:
-                walk(sub, next_cls)
-
-        walk(ast)
-        irs.append(ir)
-    return irs
-
-
-# ---------------------------------------------------------------------------
 # Program assembly + rules
 # ---------------------------------------------------------------------------
 
@@ -1137,7 +1042,7 @@ def rule_impure_path(program, entries, findings):
     while q:
         fn = q.popleft()
         for category, what, line, exempt in fn["banned"]:
-            if is_exempt(fn["file"], exempt):
+            if under(fn["file"], exempt):
                 continue
             site = (fn["file"], line, what)
             if site in seen_sites:
@@ -1170,7 +1075,7 @@ def rule_impure_path(program, entries, findings):
 
 def rule_unordered_iter(program, findings):
     for fn in program.functions:
-        if not fn["result_flow"]:
+        if not (fn["result_flow"] or under(fn["file"], EXPORT_SCOPES)):
             continue
         declared = set(fn["locals_unordered"])
         declared |= program.members_unordered.get(fn["cls"], set())
@@ -1181,8 +1086,8 @@ def rule_unordered_iter(program, findings):
                     "rule": "unordered-iter",
                     "file": fn["file"], "line": line,
                     "message": f"iteration over unordered '{name}' in "
-                               f"{fn['qname'] or fn['name']} which "
-                               "feeds *Result/JSON output — order is "
+                               f"{fn['qname'] or fn['name']}, which "
+                               "feeds deterministic output — order is "
                                "hash/pointer dependent; sort or "
                                "iterate an ordered index",
                 })
@@ -1268,11 +1173,9 @@ def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def parse_all(frontend, root, files, compile_args, cache_dir,
-              warnings):
+def parse_all(frontend, root, files, compile_args, cache_dir):
     """Parse `files` with the chosen frontend, consulting the
-    per-file digest cache. Clang-based frontends parse whole TUs (so
-    caching is per file all the same — key covers frontend)."""
+    per-file digest cache (the key covers the frontend)."""
     cache = pathlib.Path(cache_dir) if cache_dir else None
     if cache:
         cache.mkdir(parents=True, exist_ok=True)
@@ -1294,11 +1197,8 @@ def parse_all(frontend, root, files, compile_args, cache_dir,
         if frontend == "textual":
             fresh = [parse_tu_textual(p, p.relative_to(root).as_posix())
                      for p in missing]
-        elif frontend == "libclang":
-            fresh = parse_with_libclang(root, missing, compile_args)
         else:
-            fresh = parse_with_astjson(root, missing, compile_args,
-                                       find_clang())
+            fresh = parse_with_libclang(root, missing, compile_args)
         if cache:
             for path, ir in zip(missing, fresh):
                 (cache / cache_key(path)).write_text(
@@ -1308,25 +1208,18 @@ def parse_all(frontend, root, files, compile_args, cache_dir,
 
 
 def pick_frontend(requested, warnings):
-    if requested != "auto":
-        if requested == "libclang" and not libclang_available():
-            print("neu10_analyze: libclang Python bindings not "
-                  "importable (install python3-clang) — requested "
-                  "frontend unavailable", file=sys.stderr)
-            raise SystemExit(2)
-        if requested == "ast-json" and find_clang() is None:
-            print("neu10_analyze: no clang/clang++ driver on PATH — "
-                  "requested frontend unavailable", file=sys.stderr)
-            raise SystemExit(2)
+    if requested == "textual":
         return requested
     if libclang_available():
         return "libclang"
-    if find_clang() is not None:
-        return "ast-json"
+    if requested == "libclang":
+        print("neu10_analyze: libclang Python bindings not "
+              "importable (install python3-clang) — requested "
+              "frontend unavailable", file=sys.stderr)
+        raise SystemExit(2)
     warnings.append(
-        "libclang bindings and clang driver both absent — using the "
-        "pure-Python textual frontend (types approximated from "
-        "declaration text)")
+        "libclang bindings absent — using the pure-Python textual "
+        "frontend (types approximated from declaration text)")
     return "textual"
 
 
@@ -1336,10 +1229,9 @@ def main():
                     help="repo root holding src/ (default: cwd)")
     ap.add_argument("--build-dir", default=None,
                     help="build dir holding compile_commands.json "
-                         "(clang frontends; optional)")
+                         "(libclang frontend; optional)")
     ap.add_argument("--frontend", default="auto",
-                    choices=["auto", "libclang", "ast-json",
-                             "textual"])
+                    choices=["auto", "libclang", "textual"])
     ap.add_argument("--json", dest="json_out", default=None,
                     help="write the findings record here "
                          f"(schema {SCHEMA})")
@@ -1368,9 +1260,21 @@ def main():
     compile_args = load_compile_args(args.build_dir, root)
     entries = DEFAULT_ENTRIES + args.entry
 
+    # Per-file pass, frontend-independent: allow() directives (an
+    # unknown rule exits here, before any parsing) and the text rules.
+    findings, allows, directives = [], {}, []
+    for path in files:
+        rel = path.relative_to(root).as_posix()
+        raw = path.read_text(encoding="utf-8", errors="replace")
+        code_lines = strip_comments_and_strings(raw).splitlines()
+        allows[rel], file_directives = collect_allows(
+            rel, raw.splitlines(), code_lines)
+        directives.extend(file_directives)
+        findings.extend(text_rules(rel, code_lines))
+
     try:
         irs, cached = parse_all(frontend, root, files, compile_args,
-                                args.cache_dir, warnings)
+                                args.cache_dir)
     except Exception as err:  # noqa: BLE001 — any frontend failure
         if args.frontend != "auto":
             print(f"neu10_analyze: {frontend} frontend failed: {err}",
@@ -1380,33 +1284,30 @@ def main():
                         "falling back to textual")
         frontend = "textual"
         irs, cached = parse_all(frontend, root, files, compile_args,
-                                args.cache_dir, warnings)
+                                args.cache_dir)
 
     program = Program(irs)
-    findings = []
     rule_impure_path(program, entries, findings)
     rule_unordered_iter(program, findings)
     rule_pointer_key_iter(program, findings)
     rule_mutable_global(program, findings)
 
-    # ---- allow() escapes, anchored exactly like the lint ----------
-    allows_by_file = {}
-
-    def allows_for(rel):
-        if rel not in allows_by_file:
-            path = root / rel
-            raw = path.read_text(encoding="utf-8", errors="replace")
-            code = strip_comments_and_strings(raw)
-            allows_by_file[rel] = collect_allows(
-                raw.splitlines(), code.splitlines())
-        return allows_by_file[rel]
-
     kept, allowed = [], []
     for f in findings:
-        if f["rule"] in allows_for(f["file"]).get(f["line"], set()):
-            allowed.append(f)
-        else:
+        directive = allows[f["file"]].get(f["line"], {}).get(f["rule"])
+        if directive is None:
             kept.append(f)
+        else:
+            directive["consumed"].add(f["rule"])
+            allowed.append(f)
+    for d in directives:
+        for rule in sorted(d["rules"] - d["consumed"]):
+            kept.append({
+                "rule": "stale-allow", "file": d["file"],
+                "line": d["line"],
+                "message": f"allow({rule}) no longer suppresses any "
+                           "finding — remove the directive",
+            })
     kept.sort(key=lambda f: (f["file"], f["line"], f["rule"]))
 
     for w in warnings:
