@@ -21,8 +21,9 @@ constexpr double kDoneEps = 1e-7;
 struct NpuCoreSim::RequestExec
 {
     std::uint64_t id = 0;
+    std::uint32_t index = 0;           // slot in NpuCoreSim::requests_
     std::uint32_t slot = 0;
-    const CompiledModel *model = nullptr;
+    const CompiledModel *model = nullptr; // null while on the free list
     RequestCallback cb;
     Cycles submit = 0.0;
 
@@ -31,7 +32,6 @@ struct NpuCoreSim::RequestExec
     std::vector<unsigned> unitsLeft;   // in the current group
     std::vector<OpTiming> timings;
     size_t opsDone = 0;
-    std::vector<std::unique_ptr<UnitRun>> units;
 };
 
 NpuCoreSim::NpuCoreSim(EventQueue &queue, const NpuCoreConfig &cfg,
@@ -66,26 +66,32 @@ NpuCoreSim::submit(std::uint32_t slot, const CompiledModel *model,
     NEU10_ASSERT(slot < slots_.size(), "bad slot %u", slot);
     NEU10_ASSERT(model != nullptr, "null model");
 
-    auto req = std::make_unique<RequestExec>();
-    req->id = nextRequestId_++;
-    req->slot = slot;
-    req->model = model;
-    req->cb = std::move(cb);
-    req->submit = queue_.now();
+    if (freeRequests_.empty()) {
+        freeRequests_.push_back(
+            static_cast<std::uint32_t>(requests_.size()));
+        requests_.push_back(std::make_unique<RequestExec>());
+    }
+    RequestExec &r = *requests_[freeRequests_.back()];
+    r.index = freeRequests_.back();
+    freeRequests_.pop_back();
+    r.id = nextRequestId_++;
+    r.slot = slot;
+    r.model = model;
+    r.cb = std::move(cb);
+    r.submit = queue_.now();
+    r.opsDone = 0;
 
     const size_t nops = model->ops.size();
-    req->depsLeft.resize(nops);
-    req->groupPos.assign(nops, 0);
-    req->unitsLeft.assign(nops, 0);
+    r.depsLeft.resize(nops);
+    r.groupPos.assign(nops, 0);
+    r.unitsLeft.assign(nops, 0);
+    r.timings.clear();
     if (captureOpTimings_) {
-        req->timings.resize(nops);
+        r.timings.resize(nops);
         for (size_t i = 0; i < nops; ++i)
-            req->timings[i].opIndex = static_cast<std::uint32_t>(i);
+            r.timings[i].opIndex = static_cast<std::uint32_t>(i);
     }
-
-    RequestExec &r = *req;
     const std::uint64_t id = r.id;
-    requests_.emplace(id, std::move(req));
 
     for (size_t i = 0; i < nops; ++i)
         r.depsLeft[i] =
@@ -116,7 +122,7 @@ NpuCoreSim::enqueueReadyUnits(RequestExec &req, std::uint32_t op_idx,
     req.unitsLeft[op_idx] = static_cast<unsigned>(grp.units.size());
 
     for (const WorkUnit &w : grp.units) {
-        auto unit = std::make_unique<UnitRun>();
+        UnitRun *unit = newUnit();
         unit->id = nextUnitId_++;
         unit->slot = req.slot;
         unit->kind = w.kind;
@@ -125,17 +131,49 @@ NpuCoreSim::enqueueReadyUnits(RequestExec &req, std::uint32_t op_idx,
         unit->meEff = w.meEff;
         unit->veTime = w.veTime;
         unit->bytes = w.bytes;
-        unit->request = req.id;
+        unit->requestId = req.id;
+        unit->request = req.index;
         unit->opIdx = op_idx;
         unit->readyAt = now;
 
-        UnitRun *raw = unit.get();
-        req.units.push_back(std::move(unit));
-        if (raw->kind == UTopKind::Me)
-            slots_[req.slot].readyMe.push_back(raw);
+        if (unit->kind == UTopKind::Me)
+            slots_[req.slot].readyMe.push_back(unit);
         else
-            slots_[req.slot].readyVe.push_back(raw);
+            slots_[req.slot].readyVe.push_back(unit);
     }
+}
+
+UnitRun *
+NpuCoreSim::newUnit()
+{
+    if (freeUnits_.empty()) {
+        units_.push_back(std::make_unique<UnitRun>());
+        return units_.back().get();
+    }
+    UnitRun *u = freeUnits_.back();
+    freeUnits_.pop_back();
+    *u = UnitRun{};
+    return u;
+}
+
+NpuCoreSim::RequestExec &
+NpuCoreSim::requestOf(const UnitRun *u)
+{
+    // A unit's table entry may have gone to a newer request; the id
+    // tells a stale unit from a live one.
+    RequestExec &req = *requests_[u->request];
+    NEU10_ASSERT(req.model != nullptr && req.id == u->requestId,
+                 "unit %llu outlived its request",
+                 static_cast<unsigned long long>(u->id));
+    return req;
+}
+
+void
+NpuCoreSim::releaseRequest(RequestExec &req)
+{
+    req.model = nullptr;
+    req.cb = nullptr;
+    freeRequests_.push_back(req.index);
 }
 
 void
@@ -222,11 +260,8 @@ NpuCoreSim::bindMe(UnitRun *u, std::uint32_t budget_slot,
     running_.push_back(u);
 
     if (captureOpTimings_) {
-        auto it = requests_.find(u->request);
-        if (it != requests_.end()) {
-            OpTiming &t = it->second->timings[u->opIdx];
-            t.start = std::min(t.start, queue_.now());
-        }
+        OpTiming &t = requestOf(u).timings[u->opIdx];
+        t.start = std::min(t.start, queue_.now());
     }
 }
 
@@ -245,7 +280,8 @@ NpuCoreSim::preemptMe(UnitRun *u)
     u->readyAt = queue_.now(); // its wait clock restarts on requeue
     ++u->preemptions;
     running_.erase(std::find(running_.begin(), running_.end(), u));
-    slots_[u->slot].readyMe.push_front(u);
+    auto &q = slots_[u->slot].readyMe;
+    q.insert(q.begin(), u);
 }
 
 void
@@ -257,14 +293,12 @@ NpuCoreSim::startVe(UnitRun *u)
                  "VE instruction queues exhausted");
     removeFromReady(u);
     u->running = true;
+    ++runningVes_;
     running_.push_back(u);
 
     if (captureOpTimings_) {
-        auto it = requests_.find(u->request);
-        if (it != requests_.end()) {
-            OpTiming &t = it->second->timings[u->opIdx];
-            t.start = std::min(t.start, queue_.now());
-        }
+        OpTiming &t = requestOf(u).timings[u->opIdx];
+        t.start = std::min(t.start, queue_.now());
     }
 }
 
@@ -277,8 +311,10 @@ NpuCoreSim::preemptVe(UnitRun *u)
     u->rate = 0.0;
     u->veShare = 0.0;
     ++u->preemptions;
+    --runningVes_;
     running_.erase(std::find(running_.begin(), running_.end(), u));
-    slots_[u->slot].readyVe.push_front(u);
+    auto &q = slots_[u->slot].readyVe;
+    q.insert(q.begin(), u);
 }
 
 unsigned
@@ -290,27 +326,16 @@ NpuCoreSim::budgetUsed(std::uint32_t slot) const
     return budgetUsed_[slot];
 }
 
-std::vector<UnitRun *>
+std::span<UnitRun *const>
 NpuCoreSim::harvestersOn(std::uint32_t slot)
 {
-    std::vector<UnitRun *> out;
-    out.reserve(running_.size());
+    scratchHarvesters_.clear();
     for (UnitRun *u : running_)
         if (u->kind == UTopKind::Me && u->budgetSlot == slot &&
             u->slot != slot) {
-            out.push_back(u);
+            scratchHarvesters_.push_back(u);
         }
-    return out;
-}
-
-unsigned
-NpuCoreSim::runningVeUnits() const
-{
-    unsigned n = 0;
-    for (const UnitRun *u : running_)
-        if (u->kind == UTopKind::Ve)
-            ++n;
-    return n;
+    return scratchHarvesters_;
 }
 
 void
@@ -348,19 +373,20 @@ NpuCoreSim::computeShares()
         if (u->bytes != 0)
             scratchSlotUnits_[u->slot].push_back(u);
     }
-    const std::vector<double> slot_grant =
-        maxMinAllocate(scratchDemand_, bpc);
+    scratchSlotGrant_.resize(slots_.size());
+    maxMinAllocate(scratchDemand_, bpc, scratchSlotGrant_);
 
-    std::vector<double> demands;
     for (std::uint32_t s = 0; s < slots_.size(); ++s) {
         const auto &mine = scratchSlotUnits_[s];
-        demands.clear();
+        scratchUnitDemand_.clear();
         for (UnitRun *u : mine)
-            demands.push_back(base_rate(u) *
-                              static_cast<double>(u->bytes));
-        const auto grants = maxMinAllocate(demands, slot_grant[s]);
+            scratchUnitDemand_.push_back(base_rate(u) *
+                                         static_cast<double>(u->bytes));
+        scratchGrant_.resize(mine.size());
+        maxMinAllocate(scratchUnitDemand_, scratchSlotGrant_[s],
+                       scratchGrant_);
         for (size_t i = 0; i < mine.size(); ++i)
-            mine[i]->hbmShare = grants[i];
+            mine[i]->hbmShare = scratchGrant_[i];
     }
 
     // Final per-unit rates.
@@ -418,23 +444,24 @@ NpuCoreSim::completeUnit(UnitRun *u, Cycles now)
         NEU10_ASSERT(budgetUsed_[u->budgetSlot] >= u->gang,
                      "budget accounting underflow on completion");
         budgetUsed_[u->budgetSlot] -= u->gang;
-        u->budgetSlot = kNoSlot;
     }
-    u->running = false;
-    u->rate = 0.0;
+    if (u->kind == UTopKind::Ve)
+        --runningVes_;
 
-    auto it = requests_.find(u->request);
-    NEU10_ASSERT(it != requests_.end(), "completion for dead request");
-    RequestExec &req = *it->second;
+    RequestExec &req = requestOf(u);
+    const std::uint32_t op_idx = u->opIdx;
+    // Nothing refers to a completed unit any more: recycle it before
+    // the follow-on work below draws from the pool.
+    freeUnits_.push_back(u);
 
-    NEU10_ASSERT(req.unitsLeft[u->opIdx] > 0, "unit count underflow");
-    if (--req.unitsLeft[u->opIdx] == 0) {
-        const CompiledOp &op = req.model->ops[u->opIdx];
-        if (++req.groupPos[u->opIdx] <
+    NEU10_ASSERT(req.unitsLeft[op_idx] > 0, "unit count underflow");
+    if (--req.unitsLeft[op_idx] == 0) {
+        const CompiledOp &op = req.model->ops[op_idx];
+        if (++req.groupPos[op_idx] <
             static_cast<std::uint32_t>(op.groups.size())) {
-            enqueueReadyUnits(req, u->opIdx, now);
+            enqueueReadyUnits(req, op_idx, now);
         } else {
-            opFinished(req, u->opIdx, now);
+            opFinished(req, op_idx, now);
         }
     }
 }
@@ -467,7 +494,7 @@ NpuCoreSim::opFinished(RequestExec &req, std::uint32_t op_idx,
         res.opTimings = std::move(req.timings);
         ++slots_[req.slot].requestsCompleted;
         RequestCallback cb = std::move(req.cb);
-        requests_.erase(req.id);
+        releaseRequest(req);
         if (cb)
             cb(res);
     }
@@ -547,31 +574,34 @@ void
 NpuCoreSim::drainSlot(std::uint32_t slot)
 {
     NEU10_ASSERT(slot < slots_.size(), "bad slot");
-    for (auto it = requests_.begin(); it != requests_.end();) {
-        if (it->second->slot != slot) {
-            ++it;
+    // Every unit of the slot's requests carries the slot's index, so
+    // the running set and the ready queues hold all of them.
+    for (size_t i = 0; i < running_.size();) {
+        UnitRun *u = running_[i];
+        if (u->slot != slot) {
+            ++i;
             continue;
         }
-        for (auto &u : it->second->units) {
-            if (u->running) {
-                if (u->kind == UTopKind::Me &&
-                    u->budgetSlot != kNoSlot) {
-                    // A drained unit may be a harvester charged to a
-                    // *different* slot's budget: release that budget,
-                    // not the drained slot's.
-                    NEU10_ASSERT(budgetUsed_[u->budgetSlot] >= u->gang,
-                                 "budget accounting underflow on "
-                                 "drain");
-                    budgetUsed_[u->budgetSlot] -= u->gang;
-                }
-                running_.erase(std::find(running_.begin(),
-                                         running_.end(), u.get()));
-            }
+        if (u->kind == UTopKind::Me && u->budgetSlot != kNoSlot) {
+            // A drained unit may be a harvester charged to a
+            // *different* slot's budget: release that budget, not
+            // the drained slot's.
+            NEU10_ASSERT(budgetUsed_[u->budgetSlot] >= u->gang,
+                         "budget accounting underflow on drain");
+            budgetUsed_[u->budgetSlot] -= u->gang;
         }
-        it = requests_.erase(it);
+        if (u->kind == UTopKind::Ve)
+            --runningVes_;
+        running_.erase(running_.begin() + static_cast<long>(i));
+        freeUnits_.push_back(u);
     }
-    slots_[slot].readyMe.clear();
-    slots_[slot].readyVe.clear();
+    for (auto *q : {&slots_[slot].readyMe, &slots_[slot].readyVe}) {
+        freeUnits_.insert(freeUnits_.end(), q->begin(), q->end());
+        q->clear();
+    }
+    for (auto &req : requests_)
+        if (req->model != nullptr && req->slot == slot)
+            releaseRequest(*req);
 }
 
 } // namespace neu10

@@ -31,9 +31,9 @@
 #define NEU10_NPU_CORE_SIM_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,7 +102,8 @@ struct UnitRun
     unsigned preemptions = 0;
 
     // Identity for op/request bookkeeping.
-    std::uint64_t request = 0;
+    std::uint64_t requestId = 0;      ///< owning request's id
+    std::uint32_t request = 0;        ///< owning request's table index
     std::uint32_t opIdx = 0;
 
     /** True when this unit still needs ME binding to progress. */
@@ -129,8 +130,10 @@ struct VnpuSlot
     unsigned nVes = 0;            ///< allocated vector engines
     double priority = 1.0;        ///< temporal-sharing weight
 
-    std::deque<UnitRun *> readyMe;
-    std::deque<UnitRun *> readyVe;
+    // FIFO ready queues. A vector keeps its capacity across reuse
+    // (std::deque allocates and frees a chunk every 64 pushes).
+    std::vector<UnitRun *> readyMe;
+    std::vector<UnitRun *> readyVe;
 
     // --- statistics -----------------------------------------------
     Cycles meServiceCycles = 0.0;     ///< attained ME occupancy
@@ -221,7 +224,11 @@ class NpuCoreSim
     /** Total HBM bytes transferred. */
     double hbmBytesTransferred() const { return hbmBytes_; }
     /** In-flight + queued requests across all slots. */
-    size_t outstandingRequests() const { return requests_.size(); }
+    size_t
+    outstandingRequests() const
+    {
+        return requests_.size() - freeRequests_.size();
+    }
 
     // --- policy-facing mutators ------------------------------------
     /**
@@ -244,11 +251,12 @@ class NpuCoreSim
     unsigned budgetUsed(std::uint32_t slot) const;
 
     /** Running harvester units charged to @p slot's budget but owned
-     * by other slots (candidates for reclaim). */
-    std::vector<UnitRun *> harvestersOn(std::uint32_t slot);
+     * by other slots (candidates for reclaim), in running-set order.
+     * The span is valid until the next call. */
+    std::span<UnitRun *const> harvestersOn(std::uint32_t slot);
 
     /** Number of running VE units (capped at ny queues). */
-    unsigned runningVeUnits() const;
+    unsigned runningVeUnits() const { return runningVes_; }
 
   private:
     struct RequestExec;
@@ -263,6 +271,9 @@ class NpuCoreSim
                            Cycles now);
     void updateStats(Cycles now);
     void removeFromReady(UnitRun *u);
+    RequestExec &requestOf(const UnitRun *u);
+    UnitRun *newUnit();
+    void releaseRequest(RequestExec &req);
 
     EventQueue &queue_;
     NpuCoreConfig cfg_;
@@ -270,8 +281,15 @@ class NpuCoreSim
     std::vector<VnpuSlot> slots_;
 
     std::vector<UnitRun *> running_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<RequestExec>>
-        requests_;
+
+    // Request table: a slab indexed by UnitRun::request whose
+    // released entries keep their vectors' capacity for the next
+    // submit. Units are pooled the same way: units_ owns every one
+    // ever made, freeUnits_ lists those free for reuse.
+    std::vector<std::unique_ptr<RequestExec>> requests_;
+    std::vector<std::uint32_t> freeRequests_;
+    std::vector<std::unique_ptr<UnitRun>> units_;
+    std::vector<UnitRun *> freeUnits_;
 
     UtilizationTracker meUseful_;
     UtilizationTracker meHeld_;
@@ -283,6 +301,8 @@ class NpuCoreSim
     // a scan over the running set (a hot path: Neu10's fill/reclaim
     // loops probe once per candidate binding).
     std::vector<unsigned> budgetUsed_;
+    // Running VE units, maintained the same way for runningVeUnits().
+    unsigned runningVes_ = 0;
 
     double hbmBytes_ = 0.0;
     Cycles lastAdvance_ = 0.0;
@@ -292,7 +312,11 @@ class NpuCoreSim
     std::vector<double> scratchOccupancy_;
     std::vector<double> scratchUseful_;
     std::vector<double> scratchDemand_;
+    std::vector<double> scratchSlotGrant_;
+    std::vector<double> scratchUnitDemand_;
+    std::vector<double> scratchGrant_;
     std::vector<std::vector<UnitRun *>> scratchSlotUnits_;
+    std::vector<UnitRun *> scratchHarvesters_;
 
     TraceBuffer *trace_ = nullptr;
     bool traceEngineEvents_ = false;

@@ -37,11 +37,12 @@ Neu10Policy::name() const
     return harvest_ ? "Neu10" : "Neu10-NH";
 }
 
-std::vector<unsigned>
-Neu10Policy::budgets(const NpuCoreSim &core) const
+void
+Neu10Policy::computeBudgets(const NpuCoreSim &core)
 {
     const auto &slots = core.slots();
-    std::vector<unsigned> b(slots.size(), 0);
+    std::vector<unsigned> &b = budget_;
+    b.assign(slots.size(), 0);
 
     unsigned total_alloc = 0;
     for (const auto &s : slots)
@@ -50,13 +51,14 @@ Neu10Policy::budgets(const NpuCoreSim &core) const
     if (!temporal_ || total_alloc <= core.config().numMes) {
         for (size_t i = 0; i < slots.size(); ++i)
             b[i] = slots[i].nMes;
-        return b;
+        return;
     }
 
     // Oversubscribed: split the physical MEs by priority-weighted
     // deficit (least attained service first), capped by allocation.
     const unsigned phys = core.config().numMes;
-    std::vector<size_t> order(slots.size());
+    std::vector<size_t> &order = order_;
+    order.resize(slots.size());
     for (size_t i = 0; i < order.size(); ++i)
         order[i] = i;
     std::stable_sort(order.begin(), order.end(),
@@ -87,15 +89,15 @@ Neu10Policy::budgets(const NpuCoreSim &core) const
         b[i] += extra;
         left -= extra;
     }
-    return b;
 }
 
 void
 Neu10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
 {
-    lastNow_ = now;
+    (void)now;
     auto &slots = core.slots();
-    const std::vector<unsigned> budget = budgets(core);
+    computeBudgets(core);
+    const std::vector<unsigned> &budget = budget_;
 
     // Phase 1 — fill own budget FIFO.
     for (std::uint32_t s = 0; s < slots.size(); ++s) {
@@ -116,7 +118,7 @@ Neu10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
     for (std::uint32_t s = 0; s < slots.size(); ++s) {
         while (!slots[s].readyMe.empty() &&
                core.budgetUsed(s) >= budget[s]) {
-            auto harvesters = core.harvestersOn(s);
+            const auto harvesters = core.harvestersOn(s);
             if (harvesters.empty())
                 break;
             // Evict the most recently admitted harvester: it has the
@@ -176,40 +178,45 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
 
     // Per-slot VE share assignment: ME-uTOp demand first (frees the
     // occupied MEs soonest), then VE uTOps; surplus harvested.
-    std::vector<UnitRun *> me_units, ve_units;
+    meUnits_.clear();
+    veUnits_.clear();
     for (UnitRun *u : core.running()) {
         if (u->veTime <= 0.0) {
             u->veShare = 0.0;
             continue;
         }
-        (u->kind == UTopKind::Me ? me_units : ve_units).push_back(u);
+        (u->kind == UTopKind::Me ? meUnits_ : veUnits_).push_back(u);
     }
 
-    std::vector<double> slot_left(slots.size());
+    slotLeft_.resize(slots.size());
     for (size_t s = 0; s < slots.size(); ++s)
-        slot_left[s] = slots[s].nVes;
+        slotLeft_[s] = slots[s].nVes;
 
-    auto allocate_within = [&](std::vector<UnitRun *> &units) {
+    // Buckets the units by slot once (keeping running-set order within
+    // each slot), then splits each slot's VE budget max-min.
+    auto allocate_within = [&](const std::vector<UnitRun *> &units) {
+        slotUnits_.resize(slots.size());
+        for (auto &bucket : slotUnits_)
+            bucket.clear();
+        for (UnitRun *u : units)
+            slotUnits_[u->slot].push_back(u);
         for (std::uint32_t s = 0; s < slots.size(); ++s) {
-            std::vector<UnitRun *> mine;
-            std::vector<double> demands;
-            for (UnitRun *u : units) {
-                if (u->slot != s)
-                    continue;
-                mine.push_back(u);
-                demands.push_back(std::min<double>(
+            const auto &mine = slotUnits_[s];
+            demands_.clear();
+            for (const UnitRun *u : mine)
+                demands_.push_back(std::min<double>(
                     u->veDemandRate(), core.config().numVes));
-            }
-            const auto grants = maxMinAllocate(demands, slot_left[s]);
+            grants_.resize(mine.size());
+            maxMinAllocate(demands_, slotLeft_[s], grants_);
             for (size_t i = 0; i < mine.size(); ++i) {
-                mine[i]->veShare = grants[i];
-                slot_left[s] =
-                    std::max(0.0, slot_left[s] - grants[i]);
+                mine[i]->veShare = grants_[i];
+                slotLeft_[s] =
+                    std::max(0.0, slotLeft_[s] - grants_[i]);
             }
         }
     };
-    allocate_within(me_units);
-    allocate_within(ve_units);
+    allocate_within(meUnits_);
+    allocate_within(veUnits_);
 
     if (!harvest_ || !harvestVes_)
         return;
@@ -217,29 +224,29 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
     // Harvest surplus VE capacity: unmet ME-uTOp demand first, then
     // VE uTOps (the Fig. 18b order).
     double surplus = 0.0;
-    for (double v : slot_left)
+    for (double v : slotLeft_)
         surplus += v;
     if (surplus <= 1e-12)
         return;
 
-    auto top_up = [&](std::vector<UnitRun *> &units) {
+    auto top_up = [&](const std::vector<UnitRun *> &units) {
         if (surplus <= 1e-12)
             return;
-        std::vector<double> unmet;
-        unmet.reserve(units.size());
-        for (UnitRun *u : units) {
+        demands_.clear();
+        for (const UnitRun *u : units) {
             const double want = std::min<double>(
                 u->veDemandRate(), core.config().numVes);
-            unmet.push_back(std::max(0.0, want - u->veShare));
+            demands_.push_back(std::max(0.0, want - u->veShare));
         }
-        const auto extra = maxMinAllocate(unmet, surplus);
+        grants_.resize(units.size());
+        maxMinAllocate(demands_, surplus, grants_);
         for (size_t i = 0; i < units.size(); ++i) {
-            units[i]->veShare += extra[i];
-            surplus -= extra[i];
+            units[i]->veShare += grants_[i];
+            surplus -= grants_[i];
         }
     };
-    top_up(me_units);
-    top_up(ve_units);
+    top_up(meUnits_);
+    top_up(veUnits_);
 }
 
 Cycles

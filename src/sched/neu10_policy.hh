@@ -54,15 +54,24 @@ class Neu10Policy : public SchedulerPolicy
     Cycles nextWakeup(const NpuCoreSim &core, Cycles now) override;
 
   private:
-    /** Effective per-slot ME budgets for this round. */
-    std::vector<unsigned> budgets(const NpuCoreSim &core) const;
+    /** Fill budget_ with the effective per-slot ME budgets for this
+     * round. */
+    void computeBudgets(const NpuCoreSim &core);
 
     bool harvest_;
     bool temporal_;
     bool harvestMes_ = true;
     bool harvestVes_ = true;
-    mutable std::vector<double> deficit_; // temporal-mode bookkeeping
-    Cycles lastNow_ = 0.0;
+
+    // Per-call scratch, kept so a scheduling round allocates nothing.
+    std::vector<unsigned> budget_;
+    std::vector<size_t> order_;
+    std::vector<UnitRun *> meUnits_;
+    std::vector<UnitRun *> veUnits_;
+    std::vector<double> slotLeft_;
+    std::vector<std::vector<UnitRun *>> slotUnits_;
+    std::vector<double> demands_;
+    std::vector<double> grants_;
 };
 
 } // namespace neu10

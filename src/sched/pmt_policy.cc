@@ -49,11 +49,8 @@ PmtPolicy::beginSwitch(NpuCoreSim &core, std::uint32_t target,
                        Cycles now)
 {
     // Checkpoint everything the departing tenant had in flight.
-    std::vector<UnitRun *> evict;
-    evict.reserve(core.running().size());
-    for (UnitRun *u : core.running())
-        evict.push_back(u);
-    for (UnitRun *u : evict) {
+    evict_.assign(core.running().begin(), core.running().end());
+    for (UnitRun *u : evict_) {
         if (u->kind == UTopKind::Me)
             core.preemptMe(u);
         else
@@ -132,8 +129,8 @@ PmtPolicy::scheduleVes(NpuCoreSim &core, Cycles now)
 
     // Exclusive VE pool: ME-operator demand first, then VE operators.
     double left = core.config().numVes;
-    std::vector<UnitRun *> ve_units;
-    std::vector<double> demands;
+    veUnits_.clear();
+    demands_.clear();
     for (UnitRun *u : core.running()) {
         if (u->veTime <= 0.0) {
             u->veShare = 0.0;
@@ -143,13 +140,14 @@ PmtPolicy::scheduleVes(NpuCoreSim &core, Cycles now)
             u->veShare = std::min(u->veDemandRate(), left);
             left = std::max(0.0, left - u->veShare);
         } else {
-            ve_units.push_back(u);
-            demands.push_back(core.config().numVes);
+            veUnits_.push_back(u);
+            demands_.push_back(core.config().numVes);
         }
     }
-    const auto grants = maxMinAllocate(demands, left);
-    for (size_t i = 0; i < ve_units.size(); ++i)
-        ve_units[i]->veShare = grants[i];
+    grants_.resize(veUnits_.size());
+    maxMinAllocate(demands_, left, grants_);
+    for (size_t i = 0; i < veUnits_.size(); ++i)
+        veUnits_[i]->veShare = grants_[i];
 }
 
 Cycles

@@ -50,6 +50,12 @@ class PmtPolicy : public SchedulerPolicy
     Cycles quantumEnd_ = 0.0;
     Cycles lastNow_ = 0.0;
     std::vector<double> attained_;
+
+    // Per-call scratch, kept so a scheduling round allocates nothing.
+    std::vector<UnitRun *> evict_;
+    std::vector<UnitRun *> veUnits_;
+    std::vector<double> demands_;
+    std::vector<double> grants_;
 };
 
 } // namespace neu10

@@ -146,8 +146,9 @@ V10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
     // operator cannot progress otherwise); VE-only operators share the
     // remainder max-min weighted by tenant priority.
     double left = core.config().numVes;
-    std::vector<UnitRun *> ve_units;
-    std::vector<double> demands, weights;
+    veUnits_.clear();
+    demands_.clear();
+    weights_.clear();
     for (UnitRun *u : core.running()) {
         if (u->veTime <= 0.0) {
             u->veShare = 0.0;
@@ -157,14 +158,15 @@ V10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
             u->veShare = std::min(u->veDemandRate(), left);
             left = std::max(0.0, left - u->veShare);
         } else {
-            ve_units.push_back(u);
-            demands.push_back(core.config().numVes);
-            weights.push_back(slots[u->slot].priority);
+            veUnits_.push_back(u);
+            demands_.push_back(core.config().numVes);
+            weights_.push_back(slots[u->slot].priority);
         }
     }
-    const auto grants = maxMinAllocate(demands, left, weights);
-    for (size_t i = 0; i < ve_units.size(); ++i)
-        ve_units[i]->veShare = grants[i];
+    grants_.resize(veUnits_.size());
+    maxMinAllocate(demands_, left, grants_, weights_);
+    for (size_t i = 0; i < veUnits_.size(); ++i)
+        veUnits_[i]->veShare = grants_[i];
 }
 
 Cycles

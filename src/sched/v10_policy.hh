@@ -15,6 +15,8 @@
 #ifndef NEU10_SCHED_V10_POLICY_HH
 #define NEU10_SCHED_V10_POLICY_HH
 
+#include <vector>
+
 #include "sched/policy.hh"
 
 namespace neu10
@@ -34,6 +36,12 @@ class V10Policy : public SchedulerPolicy
   private:
     /** Slot whose turn it is: least attained ME service / priority. */
     std::uint32_t pickNext(const NpuCoreSim &core) const;
+
+    // Per-call scratch, kept so a scheduling round allocates nothing.
+    std::vector<UnitRun *> veUnits_;
+    std::vector<double> demands_;
+    std::vector<double> weights_;
+    std::vector<double> grants_;
 };
 
 } // namespace neu10

@@ -5,6 +5,23 @@
 namespace neu10
 {
 
+namespace
+{
+
+std::uint32_t
+slotOf(EventId id)
+{
+    return static_cast<std::uint32_t>(id);
+}
+
+std::uint32_t
+genOf(EventId id)
+{
+    return static_cast<std::uint32_t>(id >> 32);
+}
+
+} // anonymous namespace
+
 EventId
 EventQueue::schedule(Cycles when, Callback cb, EventPriority prio)
 {
@@ -12,59 +29,65 @@ EventQueue::schedule(Cycles when, Callback cb, EventPriority prio)
                  "cannot schedule into the past (when=%g now=%g)",
                  when, now_);
     NEU10_ASSERT(cb != nullptr, "event needs a callback");
-    const EventId id = nextId_++;
-    heap_.push(Entry{when, static_cast<int>(prio), id});
-    live_.emplace(id, std::move(cb));
+    if (freeSlots_.empty()) {
+        freeSlots_.push_back(static_cast<std::uint32_t>(slots_.size()));
+        slots_.emplace_back();
+    }
+    const std::uint32_t slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    slots_[slot].cb = std::move(cb);
+    const EventId id =
+        (static_cast<EventId>(slots_[slot].gen) << 32) | slot;
+    heap_.push(Entry{when, static_cast<int>(prio), nextSeq_++, id});
     ++pendingCount_;
     return id;
+}
+
+bool
+EventQueue::live(EventId id) const
+{
+    const std::uint32_t slot = slotOf(id);
+    return slot < slots_.size() && slots_[slot].gen == genOf(id);
+}
+
+void
+EventQueue::release(EventId id)
+{
+    Slot &s = slots_[slotOf(id)];
+    s.cb = nullptr;
+    // Generation 0 would let slot 0's handle equal kInvalidEvent.
+    if (++s.gen == 0)
+        s.gen = 1;
+    freeSlots_.push_back(slotOf(id));
+    --pendingCount_;
 }
 
 void
 EventQueue::deschedule(EventId id)
 {
-    auto it = live_.find(id);
-    if (it == live_.end())
+    if (!live(id))
         return;
-    live_.erase(it);
-    --pendingCount_;
+    release(id);
+    dropStale();
 }
 
 void
-EventQueue::popCancelled()
+EventQueue::dropStale()
 {
-    while (!heap_.empty() && !live_.count(heap_.top().id))
+    while (!heap_.empty() && !live(heap_.top().id))
         heap_.pop();
-}
-
-bool
-EventQueue::empty() const
-{
-    return pendingCount_ == 0;
-}
-
-Cycles
-EventQueue::nextEventTime() const
-{
-    // const_cast-free scan: copy-pop is too costly, so peek through the
-    // heap top after discarding stale entries via a mutable helper.
-    auto *self = const_cast<EventQueue *>(this);
-    self->popCancelled();
-    return heap_.empty() ? kCyclesInf : heap_.top().when;
 }
 
 bool
 EventQueue::step()
 {
-    popCancelled();
     if (heap_.empty())
         return false;
     const Entry e = heap_.top();
     heap_.pop();
-    auto it = live_.find(e.id);
-    NEU10_ASSERT(it != live_.end(), "live event vanished");
-    Callback cb = std::move(it->second);
-    live_.erase(it);
-    --pendingCount_;
+    Callback cb = std::move(slots_[slotOf(e.id)].cb);
+    release(e.id);
+    dropStale();
     NEU10_ASSERT(e.when >= now_, "event time went backwards");
     now_ = e.when;
     ++executed_;
@@ -75,16 +98,8 @@ EventQueue::step()
 Cycles
 EventQueue::runUntil(Cycles limit)
 {
-    while (true) {
-        popCancelled();
-        if (heap_.empty())
-            break;
-        if (heap_.top().when > limit) {
-            now_ = limit;
-            break;
-        }
+    while (!heap_.empty() && heap_.top().when <= limit)
         step();
-    }
     if (now_ < limit && limit < kCyclesInf)
         now_ = limit;
     return now_;

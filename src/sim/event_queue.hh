@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -37,13 +36,23 @@ enum class EventPriority : int
     Default = 4,
 };
 
-/** Opaque handle used to cancel a scheduled event. */
+/**
+ * Opaque handle used to cancel a scheduled event: a callback-slot
+ * index in the low 32 bits and that slot's generation in the high 32.
+ * A slot's generation advances when its event fires or is cancelled,
+ * so a handle outliving its event never matches again.
+ */
 using EventId = std::uint64_t;
 
 /** Sentinel returned when no event is pending. */
 inline constexpr EventId kInvalidEvent = 0;
 
-/** A deterministic discrete-event queue. */
+/**
+ * A deterministic discrete-event queue. The heap holds plain
+ * {time, priority, sequence, handle} entries and the callbacks live in
+ * recycled slots, so a steady stream of schedule/fire/cancel allocates
+ * nothing once the heap and the slot table reach their peak size.
+ */
 class EventQueue
 {
   public:
@@ -60,7 +69,7 @@ class EventQueue
     void deschedule(EventId id);
 
     /** True if no runnable events remain. */
-    bool empty() const;
+    bool empty() const { return pendingCount_ == 0; }
 
     /** Number of pending (non-cancelled) events. */
     size_t pending() const { return pendingCount_; }
@@ -69,11 +78,16 @@ class EventQueue
     Cycles now() const { return now_; }
 
     /** Time of the earliest pending event, or kCyclesInf. */
-    Cycles nextEventTime() const;
+    Cycles
+    nextEventTime() const
+    {
+        return heap_.empty() ? kCyclesInf : heap_.top().when;
+    }
 
     /**
      * Run events until the queue is empty or @p limit is reached.
-     * Events scheduled exactly at @p limit still run.
+     * Events scheduled exactly at @p limit still run. The clock then
+     * moves forward to @p limit (if finite), never backwards.
      * @return the final simulated time.
      */
     Cycles runUntil(Cycles limit = kCyclesInf);
@@ -89,6 +103,7 @@ class EventQueue
     {
         Cycles when;
         int prio;
+        std::uint64_t seq;
         EventId id;
         // Ordering for a min-queue via std::greater semantics.
         bool
@@ -98,20 +113,29 @@ class EventQueue
                 return when > o.when;
             if (prio != o.prio)
                 return prio > o.prio;
-            return id > o.id;
+            return seq > o.seq;
         }
     };
 
-    void popCancelled();
+    struct Slot
+    {
+        Callback cb;
+        std::uint32_t gen = 1;
+    };
+
+    bool live(EventId id) const;
+    /** Free @p id's slot: advance its generation, recycle it. */
+    void release(EventId id);
+    /** Restore the invariant that the heap top is a live event. */
+    void dropStale();
 
     std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
         heap_;
-    // id -> callback; erased on deschedule so heap entries become stale
-    // and are lazily discarded when popped.
-    std::unordered_map<EventId, Callback> live_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> freeSlots_;
 
     Cycles now_ = 0.0;
-    EventId nextId_ = 1;
+    std::uint64_t nextSeq_ = 0;
     size_t pendingCount_ = 0;
     std::uint64_t executed_ = 0;
 };

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "npu/bandwidth.hh"
 #include "npu/core_sim.hh"
 #include "sched/policy.hh"
@@ -105,6 +110,16 @@ gangModel(unsigned gang, Cycles occupancy, double eff,
     m.ops.push_back(op);
     m.validate();
     return m;
+}
+
+/** maxMinAllocate into a fresh vector. */
+std::vector<double>
+grantsFor(const std::vector<double> &demands, double capacity,
+          const std::vector<double> &weights = {})
+{
+    std::vector<double> g(demands.size());
+    maxMinAllocate(demands, capacity, g, weights);
+    return g;
 }
 
 std::vector<VnpuSlot>
@@ -535,29 +550,29 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults)
 
 TEST(Bandwidth, MaxMinBasics)
 {
-    const auto g = maxMinAllocate({10.0, 10.0}, 10.0);
+    const auto g = grantsFor({10.0, 10.0}, 10.0);
     EXPECT_DOUBLE_EQ(g[0], 5.0);
     EXPECT_DOUBLE_EQ(g[1], 5.0);
 
-    const auto g2 = maxMinAllocate({2.0, 100.0}, 10.0);
+    const auto g2 = grantsFor({2.0, 100.0}, 10.0);
     EXPECT_DOUBLE_EQ(g2[0], 2.0);
     EXPECT_DOUBLE_EQ(g2[1], 8.0);
 
-    const auto g3 = maxMinAllocate({1.0, 1.0, 1.0}, 30.0);
+    const auto g3 = grantsFor({1.0, 1.0, 1.0}, 30.0);
     EXPECT_DOUBLE_EQ(g3[0] + g3[1] + g3[2], 3.0);
 }
 
 TEST(Bandwidth, WeightedAllocation)
 {
-    const auto g = maxMinAllocate({100.0, 100.0}, 30.0, {2.0, 1.0});
+    const auto g = grantsFor({100.0, 100.0}, 30.0, {2.0, 1.0});
     EXPECT_DOUBLE_EQ(g[0], 20.0);
     EXPECT_DOUBLE_EQ(g[1], 10.0);
 }
 
 TEST(Bandwidth, ZeroCapacityAndEmpty)
 {
-    EXPECT_TRUE(maxMinAllocate({}, 10.0).empty());
-    const auto g = maxMinAllocate({5.0}, 0.0);
+    EXPECT_TRUE(grantsFor({}, 10.0).empty());
+    const auto g = grantsFor({5.0}, 0.0);
     EXPECT_DOUBLE_EQ(g[0], 0.0);
 }
 
@@ -565,7 +580,7 @@ TEST(Bandwidth, NeverExceedsDemandOrCapacity)
 {
     const std::vector<double> demands = {3.0, 7.0, 0.0, 11.0, 2.0};
     for (double cap : {1.0, 5.0, 20.0, 100.0}) {
-        const auto g = maxMinAllocate(demands, cap);
+        const auto g = grantsFor(demands, cap);
         double total = 0.0;
         for (size_t i = 0; i < g.size(); ++i) {
             EXPECT_LE(g[i], demands[i] + 1e-12);
@@ -573,6 +588,108 @@ TEST(Bandwidth, NeverExceedsDemandOrCapacity)
         }
         EXPECT_LE(total, cap + 1e-9);
     }
+}
+
+/**
+ * The stable_sort water-filling that the span-based maxMinAllocate
+ * replaced, kept verbatim as the bit-exactness oracle.
+ */
+std::vector<double>
+stableSortMaxMin(const std::vector<double> &demands, double capacity,
+                 const std::vector<double> &weights)
+{
+    const size_t n = demands.size();
+    std::vector<double> grant(n, 0.0);
+    if (n == 0 || capacity <= 0.0)
+        return grant;
+
+    std::vector<double> w(n, 1.0);
+    if (!weights.empty())
+        w = weights;
+
+    std::vector<size_t> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        const double da = w[a] > 0 ? demands[a] / w[a] : 0.0;
+        const double db = w[b] > 0 ? demands[b] / w[b] : 0.0;
+        return da < db;
+    });
+
+    double cap = capacity;
+    double wsum = 0.0;
+    for (size_t i : order)
+        wsum += demands[i] > 0 ? w[i] : 0.0;
+
+    for (size_t idx = 0; idx < n; ++idx) {
+        const size_t i = order[idx];
+        if (demands[i] <= 0.0 || w[i] <= 0.0)
+            continue;
+        const double fair = cap * w[i] / wsum;
+        const double got = std::min(demands[i], fair);
+        grant[i] = got;
+        cap -= got;
+        wsum -= w[i];
+        if (cap <= 0.0 || wsum <= 0.0)
+            break;
+    }
+    return grant;
+}
+
+TEST(Bandwidth, MatchesStableSortOracleBitwise)
+{
+    // n spans 0..40: ranks in the stack array (n <= 16) and in the
+    // heap buffer above it. Demands mix ties, zeros and the 1e18 sentinel
+    // VE units demand; weights are absent, random with zeros, or the
+    // V10 form (equal demands, priority weights).
+    Rng rng(20241);
+    const double ties[] = {0.5, 1.0, 2.0, 3.0};
+    const double priorities[] = {0.0, 0.5, 1.0, 1.5, 2.0, 0.7};
+    size_t cases = 0, large = 0;
+    for (int iter = 0; iter < 20000; ++iter) {
+        const size_t n = rng.below(41);
+        const int weighting = static_cast<int>(rng.below(3));
+        std::vector<double> demands(n), weights;
+        double total = 0.0;
+        for (size_t i = 0; i < n; ++i) {
+            switch (rng.below(5)) {
+              case 0: demands[i] = 0.0; break;
+              case 1: demands[i] = ties[rng.below(4)]; break;
+              case 2: demands[i] = rng.exponential(10.0); break;
+              case 3: demands[i] = rng.uniform(0.0, 100.0); break;
+              default: demands[i] = rng.below(50) == 0 ? 1e18 : 4.0;
+            }
+            total += std::min(demands[i], 1e3);
+        }
+        if (weighting == 1) {
+            for (size_t i = 0; i < n; ++i)
+                weights.push_back(rng.below(4) == 0
+                                      ? 0.0
+                                      : rng.uniform(0.1, 4.0));
+        } else if (weighting == 2) {
+            std::fill(demands.begin(), demands.end(), 4.0);
+            total = 4.0 * static_cast<double>(n);
+            for (size_t i = 0; i < n; ++i)
+                weights.push_back(priorities[rng.below(6)]);
+        }
+        const double capacity =
+            rng.below(10) == 0 ? 0.0 : rng.uniform(0.0, 1.5 * total);
+
+        const std::vector<double> want =
+            stableSortMaxMin(demands, capacity, weights);
+        const std::vector<double> got =
+            grantsFor(demands, capacity, weights);
+        ASSERT_EQ(got.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                      std::bit_cast<std::uint64_t>(want[i]))
+                << "iter " << iter << " n " << n << " consumer " << i
+                << ": " << got[i] << " vs " << want[i];
+        }
+        ++cases;
+        large += n > 16 ? 1 : 0;
+    }
+    EXPECT_EQ(cases, 20000u);
+    EXPECT_GT(large, 5000u);
 }
 
 } // anonymous namespace

@@ -92,6 +92,72 @@ TEST(EventQueue, RunUntilStopsAtLimit)
     EXPECT_EQ(fired, 2);
 }
 
+TEST(EventQueue, RunUntilNeverRewindsTheClock)
+{
+    EventQueue q;
+    std::vector<Cycles> fired;
+    q.schedule(50.0, [&](Cycles t) { fired.push_back(t); });
+    q.schedule(100.0, [&](Cycles t) { fired.push_back(t); });
+    q.runUntil(50.0);
+    ASSERT_DOUBLE_EQ(q.now(), 50.0);
+    // A limit behind the clock runs nothing and leaves time alone...
+    EXPECT_DOUBLE_EQ(q.runUntil(20.0), 50.0);
+    EXPECT_DOUBLE_EQ(q.now(), 50.0);
+    // ...so the past stays closed to new events.
+    setLogLevel(LogLevel::Silent);
+    EXPECT_THROW(q.schedule(30.0, [&](Cycles t) { fired.push_back(t); }),
+                 PanicError);
+    setLogLevel(LogLevel::Warn);
+    q.runUntil();
+    EXPECT_EQ(fired, (std::vector<Cycles>{50.0, 100.0}));
+}
+
+TEST(EventQueue, StaleHandleOfReusedSlotIsNoop)
+{
+    EventQueue q;
+    int second = 0;
+    const EventId a = q.schedule(1.0, [](Cycles) {});
+    q.runUntil(1.0); // a fires and frees its callback slot
+    const EventId b = q.schedule(2.0, [&](Cycles) { ++second; });
+    EXPECT_NE(a, b);
+    q.deschedule(a); // a's slot now holds b: must not cancel it
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_DOUBLE_EQ(q.nextEventTime(), 2.0);
+    q.runUntil();
+    EXPECT_EQ(second, 1);
+    EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST(EventQueue, PendingStaysExactUnderCancelChurn)
+{
+    // The core simulator's pattern: cancel its wake-up, reschedule it,
+    // while other events come and go. Cancelled handles are re-cancelled
+    // too, after their slots have been reused.
+    EventQueue q;
+    int wakeups = 0, others = 0;
+    EventId wake = kInvalidEvent;
+    std::vector<EventId> cancelled;
+    for (int i = 0; i < 100; ++i) {
+        q.deschedule(wake);
+        if (wake != kInvalidEvent)
+            cancelled.push_back(wake);
+        for (EventId old : cancelled)
+            q.deschedule(old);
+        wake = q.schedule(1000.0 + i, [&](Cycles) { ++wakeups; });
+        q.schedule(static_cast<Cycles>(i), [&](Cycles) { ++others; });
+        EXPECT_EQ(q.pending(), static_cast<size_t>(i + 2));
+    }
+    EXPECT_DOUBLE_EQ(q.nextEventTime(), 0.0);
+    q.runUntil(99.0);
+    EXPECT_EQ(others, 100);
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_DOUBLE_EQ(q.nextEventTime(), 1099.0);
+    q.runUntil();
+    EXPECT_EQ(wakeups, 1);
+    EXPECT_EQ(q.pending(), 0u);
+    EXPECT_EQ(q.executed(), 101u);
+}
+
 TEST(EventQueue, SchedulingInPastPanics)
 {
     setLogLevel(LogLevel::Silent);
