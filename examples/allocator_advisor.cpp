@@ -8,11 +8,16 @@
  *
  * Run: ./build/examples/allocator_advisor [model-abbrev] [batch]
  *      e.g. ./build/examples/allocator_advisor DLRM 32
+ * Exit 0 on success, 2 on a bad model or batch (FatalError).
  */
 
+#include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/env.hh"
+#include "common/logging.hh"
 #include "common/strings.hh"
 #include "compiler/profile.hh"
 #include "models/zoo.hh"
@@ -21,13 +26,20 @@
 
 using namespace neu10;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const ModelId id =
         argc > 1 ? modelFromAbbrev(argv[1]) : ModelId::Bert;
+    // Saturate rather than wrap: buildModel rejects any batch above
+    // the model's HBM limit.
     const unsigned batch =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 32;
+        argc > 2 ? static_cast<unsigned>(std::min<std::uint64_t>(
+                       parseUint64(argv[2], "batch"), UINT_MAX))
+                 : 32;
 
     const NpuCoreConfig core;
     const DnnGraph graph = buildModel(id, batch);
@@ -64,4 +76,16 @@ main(int argc, char **argv)
                 "with the ME share, SIII-B)\n",
                 formatBytes(core.hbmSegment).c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 2; // fatal() already printed the diagnostic
+    }
 }

@@ -206,7 +206,7 @@ def main():
             "--frontend", "textual", "--cache-dir", cache)
         rc, out = run(tool, "--root", fixtures / "clean",
                       "--frontend", "textual", "--cache-dir", cache)
-        expect(rc == 0 and "(9 from cache)" in out,
+        expect(rc == 0 and "(8 from cache)" in out,
                "warm cache reuses all parsed IR")
 
     # ---- explicit unavailable frontend is a setup error (rc 2) ----

@@ -9,16 +9,12 @@
  *  - a classic VLIW binary is pinned to its compiled width: extra
  *    engines buy nothing (Fig. 9 right), which is exactly what NeuISA
  *    removes.
- *
- * Plus §IV's multi-chip data parallelism via DataParallelRunner.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
 #include "models/zoo.hh"
 #include "npu/core_sim.hh"
-#include "runtime/parallel.hh"
 #include "sched/policy.hh"
 
 namespace neu10
@@ -105,88 +101,6 @@ TEST(Compat, VliwBinaryCannotUseExtraEngines)
     const Cycles neu_on8 =
         soloRun(neu8, gen2, 8, 8, PolicyKind::Neu10);
     EXPECT_LT(neu_on8, 0.7 * on8);
-}
-
-TEST(Compat, SplitBatchConservesSamples)
-{
-    const auto shards = splitBatch(ModelId::ResNet, 32, 3);
-    ASSERT_EQ(shards.size(), 3u);
-    unsigned total = 0;
-    for (const auto &g : shards) {
-        EXPECT_GE(g.batch, 1u);
-        total += g.batch;
-    }
-    EXPECT_EQ(total, 32u);
-}
-
-TEST(Compat, SplitBatchRejectsImpossibleSplit)
-{
-    setLogLevel(LogLevel::Silent);
-    EXPECT_THROW(splitBatch(ModelId::ResNet, 2, 3), PanicError);
-    setLogLevel(LogLevel::Warn);
-}
-
-TEST(Compat, DataParallelismAcrossTwoCores)
-{
-    // §IV: multi-chip inference with data parallelism — a batch-32
-    // request split over two cores beats the single-core run.
-    const NpuCoreConfig cfg;
-    EventQueue queue;
-
-    std::vector<VnpuSlot> slot_template(1);
-    slot_template[0].nMes = 4;
-    slot_template[0].nVes = 4;
-    NpuCoreSim core_a(queue, cfg, makePolicy(PolicyKind::Neu10),
-                      slot_template);
-    NpuCoreSim core_b(queue, cfg, makePolicy(PolicyKind::Neu10),
-                      slot_template);
-
-    const auto graphs = splitBatch(ModelId::ResNet, 32, 2);
-    std::vector<CompiledModel> progs;
-    for (const auto &g : graphs)
-        progs.push_back(
-            lowerToNeuIsa(g, cfg.numMes, cfg.numVes, cfg.machine()));
-
-    DataParallelRunner runner(
-        {{&core_a, 0, &progs[0]}, {&core_b, 0, &progs[1]}});
-    Cycles dp_finish = -1.0;
-    runner.submit([&](Cycles t) { dp_finish = t; });
-    queue.runUntil();
-    ASSERT_GT(dp_finish, 0.0);
-
-    // Single-core reference with the full batch.
-    const CompiledModel full = lowerToNeuIsa(
-        buildModel(ModelId::ResNet, 32), cfg.numMes, cfg.numVes,
-        cfg.machine());
-    const Cycles solo = soloRun(full, cfg, 4, 4, PolicyKind::Neu10);
-    EXPECT_LT(dp_finish, 0.7 * solo);
-}
-
-TEST(Compat, DataParallelCompletionWaitsForSlowestShard)
-{
-    const NpuCoreConfig cfg;
-    EventQueue queue;
-    std::vector<VnpuSlot> slots(1);
-    slots[0].nMes = 4;
-    slots[0].nVes = 4;
-    NpuCoreSim fast(queue, cfg, makePolicy(PolicyKind::Neu10), slots);
-    std::vector<VnpuSlot> small(1);
-    small[0].nMes = 1;
-    small[0].nVes = 1;
-    NpuCoreSim slow(queue, cfg, makePolicy(PolicyKind::Neu10NH), small);
-
-    const CompiledModel prog = lowerToNeuIsa(
-        buildModel(ModelId::Mnist, 8), cfg.numMes, cfg.numVes,
-        cfg.machine());
-    DataParallelRunner runner({{&fast, 0, &prog}, {&slow, 0, &prog}});
-
-    Cycles dp_finish = -1.0;
-    runner.submit([&](Cycles t) { dp_finish = t; });
-    queue.runUntil();
-
-    const Cycles slow_alone =
-        soloRun(prog, cfg, 1, 1, PolicyKind::Neu10NH);
-    EXPECT_NEAR(dp_finish, slow_alone, slow_alone * 0.05);
 }
 
 } // anonymous namespace
