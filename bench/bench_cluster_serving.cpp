@@ -138,19 +138,13 @@ main(int argc, char **argv)
                                 shape == TrafficShape::Poisson;
             const FleetResult r = runFleet(sweepPoint(
                 base, placement, core_policy, shape, traced));
-            if (traced) {
-                const std::string path =
+            if (traced)
+                bench::writeTrace(
+                    r.trace, r.metrics,
                     base.traceOut.empty()
                         ? "bench_cluster_serving.trace.json"
-                        : base.traceOut;
-                r.trace.writeChromeJson(path);
-                r.metrics.writeJson(path + ".metrics.json",
-                                    base.board.core.freqHz);
-                std::printf("[trace: %llu events -> %s]\n",
-                            static_cast<unsigned long long>(
-                                r.trace.totalEvents()),
-                            path.c_str());
-            }
+                        : base.traceOut,
+                    base.board.core.freqHz);
             printFleetRow(trafficShapeName(shape).c_str(), r);
             if (shape == TrafficShape::Poisson)
                 poisson_runs.push_back(r);

@@ -89,18 +89,12 @@ partBoardLoss(const Scenario &scn)
     };
     const FleetResult base = variant(false);
     const FleetResult fo = variant(true);
-    if (scn.trace.enabled) {
-        const std::string path =
-            scn.traceOut.empty() ? "bench_resilience.trace.json"
-                                 : scn.traceOut;
-        fo.trace.writeChromeJson(path);
-        fo.metrics.writeJson(path + ".metrics.json",
-                             scn.board.core.freqHz);
-        std::printf("[trace: %llu events -> %s]\n",
-                    static_cast<unsigned long long>(
-                        fo.trace.totalEvents()),
-                    path.c_str());
-    }
+    if (scn.trace.enabled)
+        bench::writeTrace(fo.trace, fo.metrics,
+                          scn.traceOut.empty()
+                              ? "bench_resilience.trace.json"
+                              : scn.traceOut,
+                          scn.board.core.freqHz);
 
     std::printf("Part 1: board 1 lost at 30%% of the horizon, never "
                 "repaired — %u cores, %u tenants, %u epochs\n",

@@ -18,6 +18,8 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "sim/clock.hh"
 
 namespace neu10
@@ -35,6 +37,29 @@ usageError(const FatalError &err)
     if (logLevel() < LogLevel::Warn)
         std::fprintf(stderr, "error: %s\n", err.what());
     std::exit(2);
+}
+
+/** Write a traced run's Chrome trace to @p path and its metrics to
+ * `<path>.metrics.json`, then report the path; exit(2) with an error
+ * line if either file cannot be written. */
+inline void
+writeTrace(const Trace &trace, const MetricsRegistry &metrics,
+           const std::string &path, double freqHz)
+{
+    const std::string metrics_path = path + ".metrics.json";
+    if (!trace.writeChromeJson(path)) {
+        std::fprintf(stderr, "error: cannot write trace to %s\n",
+                     path.c_str());
+        std::exit(2);
+    }
+    if (!metrics.writeJson(metrics_path, freqHz)) {
+        std::fprintf(stderr, "error: cannot write metrics to %s\n",
+                     metrics_path.c_str());
+        std::exit(2);
+    }
+    std::printf("[trace: %llu events -> %s]\n",
+                static_cast<unsigned long long>(trace.totalEvents()),
+                path.c_str());
 }
 
 /**

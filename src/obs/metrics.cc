@@ -160,14 +160,12 @@ MetricsRegistry::writeJson(const std::string &path,
                            double freqHz) const
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write metrics to %s", path.c_str());
+    if (f == nullptr)
         return false;
-    }
     const std::string body = json(freqHz);
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-    return true;
+    const bool written =
+        std::fwrite(body.data(), 1, body.size(), f) == body.size();
+    return std::fclose(f) == 0 && written;
 }
 
 } // namespace neu10

@@ -99,8 +99,10 @@ class MetricsRegistry
     /** Render as "neu10-metrics-v1" JSON (deterministic bytes). */
     std::string json(double freqHz) const;
 
-    /** Write json() to @p path. @return false on I/O error. */
-    bool writeJson(const std::string &path, double freqHz) const;
+    /** Write json() to @p path. @return false if the file cannot be
+     * opened, written or closed. */
+    [[nodiscard]] bool writeJson(const std::string &path,
+                                 double freqHz) const;
 
   private:
     MetricId registerMetric(const std::string &name, MetricKind kind);

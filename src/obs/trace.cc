@@ -1,11 +1,14 @@
 #include "obs/trace.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "common/logging.hh"
-#include "common/strings.hh"
 
 namespace neu10
 {
@@ -164,13 +167,16 @@ Trace::append(int track, const TraceBuffer &buf, Cycles offset,
 {
     if (buf.empty())
         return;
+    // insert() keeps the vector's geometric growth. Reserving the
+    // exact new size instead would reallocate and copy the whole
+    // track at every epoch merge.
     std::vector<TraceEvent> &dst = tracks_[track];
-    dst.reserve(dst.size() + buf.size());
-    for (TraceEvent ev : buf.events()) {
-        ev.at += offset;
-        if (ev.id != 0)
-            ev.id += idSalt;
-        dst.push_back(ev);
+    const size_t first = dst.size();
+    dst.insert(dst.end(), buf.events().begin(), buf.events().end());
+    for (size_t i = first; i < dst.size(); ++i) {
+        dst[i].at += offset;
+        if (dst[i].id != 0)
+            dst[i].id += idSalt;
     }
 }
 
@@ -186,33 +192,90 @@ Trace::totalEvents() const
 namespace
 {
 
-/** One export-ready entry: sort key (simulated start time) plus the
- * rendered JSON object. 'b' records expand into a begin and an end
- * entry; stable sort keeps the recording order as the tie-break. */
-struct Emitted
+/**
+ * String builder of the Chrome trace renderer. Numbers go through
+ * std::to_chars, which C++17 defines to print exactly what printf does
+ * at the same precision (%.6f, %.9g, %llx), without its format parsing
+ * or locale.
+ */
+class ChromeJsonWriter
 {
-    Cycles ts = 0.0;
-    std::string line;
+  public:
+    /** Start a document in a buffer of @p reserve bytes, which grows if
+     * the document needs more. */
+    explicit ChromeJsonWriter(size_t reserve) { buf_.reserve(reserve); }
+
+    void text(std::string_view s) { buf_.append(s); }
+
+    void
+    uint(std::uint64_t v, int base = 10)
+    {
+        put(std::to_chars(num_, num_ + sizeof(num_), v, base));
+    }
+
+    void
+    number(double v, std::chars_format fmt, int precision)
+    {
+        put(std::to_chars(num_, num_ + sizeof(num_), v, fmt,
+                          precision));
+    }
+
+    /** Start the next element of the traceEvents array. */
+    void
+    row()
+    {
+        if (rows_++ > 0)
+            text(",\n");
+    }
+
+    std::string take() { return std::move(buf_); }
+
+  private:
+    void
+    put(std::to_chars_result r)
+    {
+        NEU10_ASSERT(r.ec == std::errc(),
+                     "trace number does not fit its buffer");
+        buf_.append(num_, r.ptr);
+    }
+
+    std::string buf_;
+    std::uint64_t rows_ = 0;
+    // Fits any double in fixed notation (at most 309 integer digits).
+    char num_[400] = {};
 };
 
-std::string
-argsJson(const TraceEvent &ev)
+/**
+ * An upper bound on the size of the Chrome trace of @p tracks while
+ * timestamps stay below 1e16 us. It copies the fixed text of every row
+ * form in Trace::chromeJson(), which asserts that it holds.
+ */
+size_t
+chromeJsonBound(const std::map<int, std::vector<TraceEvent>> &tracks)
 {
-    if (ev.nargs == 0)
-        return "";
-    std::string s = ",\"args\":{";
-    for (int i = 0; i < ev.nargs; ++i) {
-        if (i > 0)
-            s += ",";
-        // JSON has no infinity/NaN literal; kCyclesInf sentinels
-        // (e.g. a board lost for good) export as -1.
-        const double v = std::isfinite(ev.args[i].value)
-                             ? ev.args[i].value
-                             : -1.0;
-        s += csprintf("\"%s\":%.9g", ev.args[i].key, v);
+    // Per row: at most 61 bytes of fixed text with its separator, a
+    // pid and a tid of at most 10 digits each, and two numbers of at
+    // most 24 characters (a hex id, or a %.6f value below 1e16 us).
+    constexpr size_t kRowBytes = 61 + 2 * 10 + 2 * 24;
+    // Per argument list, its 10 bytes of fixed text; per argument, its
+    // quotes, colon and comma, and a %.9g value of at most 16
+    // characters.
+    constexpr size_t kArgsBytes = 10;
+    constexpr size_t kArgBytes = 4 + 16;
+    size_t bytes = 256; // header and trailer
+    for (const auto &[track, evs] : tracks) {
+        bytes += 2 * (kRowBytes + 32); // process and thread names
+        for (const TraceEvent &ev : evs) {
+            size_t row =
+                kRowBytes + std::strlen(ev.cat) + std::strlen(ev.name);
+            if (ev.nargs > 0)
+                row += kArgsBytes;
+            for (int i = 0; i < ev.nargs; ++i)
+                row += kArgBytes + std::strlen(ev.args[i].key);
+            bytes += ev.phase == 'b' ? 2 * row : row;
+        }
     }
-    s += "}";
-    return s;
+    return bytes;
 }
 
 } // anonymous namespace
@@ -220,6 +283,11 @@ argsJson(const TraceEvent &ev)
 std::string
 Trace::chromeJson() const
 {
+    // Reserve once: a string that doubles holds its old and its new
+    // buffer at the same time, up to twice the document's size.
+    const size_t bound = chromeJsonBound(tracks_);
+    ChromeJsonWriter out(bound);
+
     // Cycles -> microseconds (the trace-event time unit), clamped at
     // zero: a standalone serving trace can hold carried-backlog
     // stamps from before its own t = 0 (fleet merges re-anchor them
@@ -238,20 +306,50 @@ Trace::chromeJson() const
     const auto tid_of = [&](int track) -> unsigned {
         return track < 0 ? 0u : static_cast<unsigned>(track);
     };
-
-    std::string out;
-    out += "{\n";
-    out += "\"displayTimeUnit\": \"ms\",\n";
-    out += csprintf("\"otherData\": {\"clock_hz\": %.0f},\n", freqHz_);
-    out += "\"traceEvents\": [\n";
-
-    bool first = true;
-    const auto emit = [&](const std::string &line) {
-        if (!first)
-            out += ",\n";
-        out += line;
-        first = false;
+    const auto head = [&](const char *ph, unsigned pid, unsigned tid) {
+        out.row();
+        out.text("{\"ph\":\"");
+        out.text(ph);
+        out.text("\",\"pid\":");
+        out.uint(pid);
+        out.text(",\"tid\":");
+        out.uint(tid);
     };
+    const auto us_field = [&](const char *key, double v) {
+        out.text(key);
+        out.number(v, std::chars_format::fixed, 6);
+    };
+    const auto names = [&](const TraceEvent &ev) {
+        out.text(",\"cat\":\"");
+        out.text(ev.cat);
+        out.text("\",\"name\":\"");
+        out.text(ev.name);
+        out.text("\"");
+    };
+    const auto id = [&](const TraceEvent &ev) {
+        out.text(",\"id\":\"0x");
+        out.uint(ev.id, 16);
+        out.text("\"");
+    };
+    const auto args = [&](const TraceEvent &ev) {
+        for (int i = 0; i < ev.nargs; ++i) {
+            out.text(i == 0 ? ",\"args\":{\"" : ",\"");
+            out.text(ev.args[i].key);
+            out.text("\":");
+            // JSON has no infinity/NaN literal; kCyclesInf sentinels
+            // (e.g. a board lost for good) export as -1.
+            const double v = ev.args[i].value;
+            out.number(std::isfinite(v) ? v : -1.0,
+                       std::chars_format::general, 9);
+        }
+        if (ev.nargs > 0)
+            out.text("}");
+    };
+
+    out.text("{\n\"displayTimeUnit\": \"ms\",\n"
+             "\"otherData\": {\"clock_hz\": ");
+    out.number(freqHz_, std::chars_format::fixed, 0);
+    out.text("},\n\"traceEvents\": [\n");
 
     // Metadata: name every process (board) once and every thread
     // (core). Map order makes this deterministic.
@@ -263,103 +361,115 @@ Trace::chromeJson() const
         if (std::find(named_pids.begin(), named_pids.end(), pid) ==
             named_pids.end()) {
             named_pids.push_back(pid);
-            const std::string pname =
-                track < 0 ? std::string("controller")
-                          : csprintf("board %u", pid);
-            emit(csprintf("{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,"
-                          "\"name\":\"process_name\",\"args\":"
-                          "{\"name\":\"%s\"}}",
-                          pid, tid, pname.c_str()));
+            head("M", pid, tid);
+            out.text(",\"name\":\"process_name\",\"args\":"
+                     "{\"name\":\"");
+            if (track < 0) {
+                out.text("controller");
+            } else {
+                out.text("board ");
+                out.uint(pid);
+            }
+            out.text("\"}}");
         }
-        const std::string tname =
-            track < 0 ? std::string("fleet")
-                      : csprintf("core %u", tid);
-        emit(csprintf("{\"ph\":\"M\",\"pid\":%u,\"tid\":%u,"
-                      "\"name\":\"thread_name\",\"args\":"
-                      "{\"name\":\"%s\"}}",
-                      pid, tid, tname.c_str()));
+        head("M", pid, tid);
+        out.text(",\"name\":\"thread_name\",\"args\":{\"name\":\"");
+        if (track < 0) {
+            out.text("fleet");
+        } else {
+            out.text("core ");
+            out.uint(tid);
+        }
+        out.text("\"}}");
     }
 
+    // One export row: its sort key (simulated time) and the event it
+    // renders. A 'b' event yields two rows, its begin and then its
+    // end ('e'), pushed in recording order so the stable sort keeps
+    // that order among same-time rows.
+    struct Row
+    {
+        Cycles ts;
+        size_t event;
+        bool end;
+    };
+    std::vector<Row> rows;
     for (const auto &[track, evs] : tracks_) {
         const unsigned pid = pid_of(track);
         const unsigned tid = tid_of(track);
-        std::vector<Emitted> rows;
-        rows.reserve(evs.size() * 2);
-        for (const TraceEvent &ev : evs) {
-            const std::string args = argsJson(ev);
-            switch (ev.phase) {
-              case 'X':
-                rows.push_back(
-                    {ev.at,
-                     csprintf("{\"ph\":\"X\",\"pid\":%u,\"tid\":%u,"
-                              "\"ts\":%.6f,\"dur\":%.6f,"
-                              "\"cat\":\"%s\",\"name\":\"%s\"%s}",
-                              pid, tid, us(ev.at),
-                              us(ev.at + ev.dur) - us(ev.at),
-                              ev.cat, ev.name, args.c_str())});
-                break;
-              case 'b':
-                rows.push_back(
-                    {ev.at,
-                     csprintf("{\"ph\":\"b\",\"pid\":%u,\"tid\":%u,"
-                              "\"ts\":%.6f,\"cat\":\"%s\","
-                              "\"name\":\"%s\",\"id\":\"0x%llx\"%s}",
-                              pid, tid, us(ev.at), ev.cat, ev.name,
-                              static_cast<unsigned long long>(ev.id),
-                              args.c_str())});
-                rows.push_back(
-                    {ev.at + ev.dur,
-                     csprintf("{\"ph\":\"e\",\"pid\":%u,\"tid\":%u,"
-                              "\"ts\":%.6f,\"cat\":\"%s\","
-                              "\"name\":\"%s\",\"id\":\"0x%llx\"}",
-                              pid, tid, us(ev.at + ev.dur), ev.cat,
-                              ev.name,
-                              static_cast<unsigned long long>(
-                                  ev.id))});
-                break;
-              default:
-                rows.push_back(
-                    {ev.at,
-                     csprintf("{\"ph\":\"i\",\"pid\":%u,\"tid\":%u,"
-                              "\"ts\":%.6f,\"s\":\"t\","
-                              "\"cat\":\"%s\",\"name\":\"%s\"%s}",
-                              pid, tid, us(ev.at), ev.cat, ev.name,
-                              args.c_str())});
-                break;
-            }
+        rows.clear();
+        rows.reserve(2 * evs.size());
+        for (size_t i = 0; i < evs.size(); ++i) {
+            rows.push_back({evs[i].at, i, false});
+            if (evs[i].phase == 'b')
+                rows.push_back({evs[i].at + evs[i].dur, i, true});
         }
-        // Per-track monotonic timestamps; stable so same-time events
-        // keep their deterministic recording order.
+        // Per-track monotonic timestamps.
         std::stable_sort(rows.begin(), rows.end(),
-                         [](const Emitted &a, const Emitted &b) {
+                         [](const Row &a, const Row &b) {
                              return a.ts < b.ts;
                          });
-        for (const Emitted &row : rows)
-            emit(row.line);
+        for (const Row &row : rows) {
+            const TraceEvent &ev = evs[row.event];
+            switch (ev.phase) {
+              case 'X':
+                head("X", pid, tid);
+                us_field(",\"ts\":", us(ev.at));
+                us_field(",\"dur\":", us(ev.at + ev.dur) - us(ev.at));
+                names(ev);
+                args(ev);
+                break;
+              case 'b':
+                if (row.end) {
+                    head("e", pid, tid);
+                    us_field(",\"ts\":", us(ev.at + ev.dur));
+                    names(ev);
+                    id(ev);
+                } else {
+                    head("b", pid, tid);
+                    us_field(",\"ts\":", us(ev.at));
+                    names(ev);
+                    id(ev);
+                    args(ev);
+                }
+                break;
+              default:
+                head("i", pid, tid);
+                us_field(",\"ts\":", us(ev.at));
+                out.text(",\"s\":\"t\"");
+                names(ev);
+                args(ev);
+                break;
+            }
+            out.text("}");
+        }
     }
 
-    out += "\n]}\n";
-    return out;
+    out.text("\n]}\n");
+
+    std::string json = out.take();
+    NEU10_ASSERT(json.size() <= bound,
+                 "trace export of %zu bytes outgrew its bound of %zu",
+                 json.size(), bound);
+    return json;
 }
 
-void
+bool
 Trace::writeChromeJson(std::FILE *f) const
 {
     const std::string json = chromeJson();
-    std::fwrite(json.data(), 1, json.size(), f);
+    return std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
+           std::ferror(f) == 0;
 }
 
 bool
 Trace::writeChromeJson(const std::string &path) const
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        warn("cannot write trace to %s", path.c_str());
+    if (f == nullptr)
         return false;
-    }
-    writeChromeJson(f);
-    std::fclose(f);
-    return true;
+    const bool written = writeChromeJson(f);
+    return std::fclose(f) == 0 && written;
 }
 
 } // namespace neu10

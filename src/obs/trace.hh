@@ -15,9 +15,11 @@
  * atomics: a TraceBuffer has exactly one writer (the thread driving
  * its core's simulation), and ownership is handed to the aggregation
  * thread with the ServingResult it rides in. Disabled tracing costs
- * one branch on a cached pointer/flag at every instrumentation site;
+ * one branch on a cached pointer/flag at every instrumentation site.
  * perfbench's `sim_req_per_s` (perfbench/README.md) is measured with
- * tracing off, so a change that taxes the off path shows up there.
+ * tracing off on fleet_dc, llm_serve and paper_pairs, so a change
+ * that taxes the off path shows up there; on fleet_churn it includes
+ * recording the trace and rendering it with chromeJson().
  *
  * Export is the Chrome trace-event JSON array format understood by
  * chrome://tracing and https://ui.perfetto.dev: one process per
@@ -202,11 +204,13 @@ class Trace
      */
     std::string chromeJson() const;
 
-    /** Write chromeJson() to @p f. */
-    void writeChromeJson(std::FILE *f) const;
+    /** Write chromeJson()'s bytes to @p f. @return false if the
+     * write came up short or @p f is in an error state. */
+    [[nodiscard]] bool writeChromeJson(std::FILE *f) const;
 
-    /** Write chromeJson() to @p path. @return false on I/O error. */
-    bool writeChromeJson(const std::string &path) const;
+    /** Write chromeJson()'s bytes to @p path. @return false if the
+     * file cannot be opened, written or closed. */
+    [[nodiscard]] bool writeChromeJson(const std::string &path) const;
 
   private:
     // Ordered map: export order (and thus the byte stream) must not

@@ -1,15 +1,20 @@
 /**
  * @file
- * Steady-state allocation gate for the per-event core path.
+ * Allocation gates for the per-event core path and the trace.
  *
- * Drives NpuCoreSim directly under each of the four policies: two
- * tenants in a closed loop (the paper's BERT + EfficientNet pair), run
- * until every pool and scratch buffer has reached its working size,
- * then counted over a fixed window of events. The event queue, the
- * request and unit pools, the ready queues, max-min allocation and the
- * policies' scratch must not allocate there. The only allocations
- * allowed are the amortized growth of the append-only utilization
- * TimeSeries, a handful per window.
+ * Core path: drives NpuCoreSim directly under each of the four
+ * policies: two tenants in a closed loop (the paper's BERT +
+ * EfficientNet pair), run until every pool and scratch buffer has
+ * reached its working size, then counted over a fixed window of
+ * events. The event queue, the request and unit pools, the ready
+ * queues, max-min allocation and the policies' scratch must not
+ * allocate there. The only allocations allowed are the amortized
+ * growth of the append-only utilization TimeSeries, a handful per
+ * window.
+ *
+ * Trace: epoch merges (Trace::append) must grow a track
+ * geometrically, and the Chrome export must allocate per buffer, not
+ * per row, so its count does not grow with the event count.
  *
  * This binary replaces the global operator new with a counting one, so
  * it is its own executable.
@@ -23,6 +28,7 @@
 #include <new>
 
 #include "npu/core_sim.hh"
+#include "obs/trace.hh"
 #include "runtime/serving.hh"
 #include "sched/policy.hh"
 #include "sim/event_queue.hh"
@@ -102,6 +108,18 @@ constexpr std::uint64_t kWarmupEvents = 20000;
 constexpr std::uint64_t kWindowEvents = 20000;
 constexpr std::uint64_t kMaxWindowAllocs = 16;
 
+/** Allocations made while running @p fn. */
+template <typename Fn>
+std::uint64_t
+countAllocs(Fn &&fn)
+{
+    g_allocs.store(0);
+    g_counting.store(true);
+    fn();
+    g_counting.store(false);
+    return g_allocs.load();
+}
+
 /** Two tenants, each resubmitting on completion. The callback captures
  * one pointer, so it fits std::function's in-place storage. */
 struct ClosedLoop
@@ -149,13 +167,11 @@ expectSteadyStateAllocFree(PolicyKind kind)
     const std::uint64_t done_before = loop.completed;
     const std::uint64_t events_before = queue.executed();
 
-    g_allocs.store(0);
-    g_counting.store(true);
-    for (std::uint64_t i = 0; i < kWindowEvents; ++i)
-        if (!queue.step())
-            break;
-    g_counting.store(false);
-    const std::uint64_t allocs = g_allocs.load();
+    const std::uint64_t allocs = countAllocs([&] {
+        for (std::uint64_t i = 0; i < kWindowEvents; ++i)
+            if (!queue.step())
+                break;
+    });
     const std::uint64_t events = queue.executed() - events_before;
 
     std::printf("[alloc gate] %s: %llu allocations in %llu events, "
@@ -190,6 +206,76 @@ TEST(SteadyStateAllocs, V10)
 TEST(SteadyStateAllocs, Pmt)
 {
     expectSteadyStateAllocFree(PolicyKind::Pmt);
+}
+
+/** A core's per-epoch buffer: @p events request spans and instants. */
+TraceBuffer
+coreBuffer(int events)
+{
+    TraceBuffer buf(true);
+    for (int i = 0; i < events; ++i) {
+        const double at = 10.0 * i;
+        if (i % 2 == 0)
+            buf.asyncSpan(i + 1, at, at + 25.0, "request", "execute",
+                          "tenant", 1.0);
+        else
+            buf.instant(at, "request", "complete", "tenant", 1.0,
+                        "latency", 25.0);
+    }
+    return buf;
+}
+
+// 9 today: the track's map node, then capacities of 1,000 to 128,000
+// events, one allocation per doubling.
+constexpr std::uint64_t kMaxMergeAllocs = 12;
+
+TEST(TraceAllocs, EpochMergesGrowTracksGeometrically)
+{
+    constexpr std::uint64_t kMerges = 80;
+    const TraceBuffer buf = coreBuffer(1000);
+    Trace trace;
+    const std::uint64_t allocs = countAllocs([&] {
+        for (std::uint64_t e = 0; e < kMerges; ++e)
+            trace.append(0, buf, 1e4 * static_cast<double>(e),
+                         (e + 1) << 56);
+    });
+    std::printf("[alloc gate] %llu Trace::append merges of %zu events: "
+                "%llu allocations\n",
+                static_cast<unsigned long long>(kMerges), buf.size(),
+                static_cast<unsigned long long>(allocs));
+    EXPECT_EQ(trace.totalEvents(), kMerges * buf.size());
+    EXPECT_LE(allocs, kMaxMergeAllocs);
+}
+
+// The measured count, the same at any event count.
+constexpr std::uint64_t kMaxExportAllocs = 4;
+
+/** Allocations of one chromeJson() of @p events on one track. */
+std::uint64_t
+exportAllocs(int events)
+{
+    Trace trace;
+    trace.setTopology(1, 1);
+    trace.append(0, coreBuffer(events), 0.0, 0);
+    size_t bytes = 0;
+    const std::uint64_t allocs =
+        countAllocs([&] { bytes = trace.chromeJson().size(); });
+    std::printf("[alloc gate] chromeJson() of %d events (%zu bytes): "
+                "%llu allocations\n",
+                events, bytes, static_cast<unsigned long long>(allocs));
+    return allocs;
+}
+
+TEST(TraceAllocs, ExportAllocatesPerBufferNotPerRow)
+{
+    // 4 allocations at both sizes: the output, reserved once from an
+    // upper bound, the sort keys, the stable sort's buffer and the
+    // list of named pids. Twice the rows must cost no more, neither an
+    // allocation per row nor a doubling of the output.
+    const std::uint64_t small = exportAllocs(10000);
+    const std::uint64_t large = exportAllocs(20000);
+    EXPECT_LE(small, kMaxExportAllocs);
+    EXPECT_EQ(large, small);
 }
 
 } // anonymous namespace

@@ -2,14 +2,16 @@
  * @file
  * Observability-subsystem tests: TraceBuffer recording semantics,
  * Trace merging/export (Chrome trace-event JSON shape, metadata,
- * async-id salting, non-finite arg sanitization), MetricsRegistry
- * bookkeeping, and the determinism contract end-to-end: a traced
- * fleet run must produce byte-identical trace files at any
- * FleetConfig::threads width and under a board-loss fault — and
- * tracing must not perturb the simulation results.
+ * async-id salting, non-finite arg sanitization, number formats,
+ * same-timestamp order, file writes and their failures),
+ * MetricsRegistry bookkeeping, and the determinism contract
+ * end-to-end: a traced fleet run must produce byte-identical trace
+ * files at any FleetConfig::threads width and under a board-loss
+ * fault — and tracing must not perturb the simulation results.
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -155,6 +157,124 @@ TEST(Trace, CarriedBacklogNegativeStampsClampToZero)
     EXPECT_NE(trace.chromeJson().find("\"ts\":0"),
               std::string::npos);
     EXPECT_EQ(trace.chromeJson().find("\"ts\":-"),
+              std::string::npos);
+}
+
+TEST(Trace, FileWriteEqualsChromeJson)
+{
+    // Three tracks and several times stdio's buffer, so the bytes reach
+    // the file in more than one write.
+    Trace trace;
+    trace.setTopology(2, 2);
+    for (const int track : {Trace::kControllerTrack, 0, 3}) {
+        TraceBuffer buf(true);
+        for (int i = 0; i < 1000; ++i) {
+            const double at = 10.0 * i;
+            buf.asyncSpan(i + 1, at, at + 25.0, "request", "execute",
+                          "tenant", i % 4);
+            buf.instant(at + 3.0, "request", "admit", "tenant", 1.0,
+                        "depth", i % 7);
+        }
+        trace.append(track, buf, 0.0, 0);
+    }
+    const std::string json = trace.chromeJson();
+    ASSERT_GT(json.size(), 4u * 64 * 1024);
+
+    std::FILE *f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    EXPECT_TRUE(trace.writeChromeJson(f));
+    std::rewind(f);
+    std::string written(json.size() + 1, '\0');
+    written.resize(std::fread(written.data(), 1, written.size(), f));
+    std::fclose(f);
+    EXPECT_EQ(written, json);
+}
+
+TEST(Trace, WriteFailuresAreReported)
+{
+    Trace trace;
+    trace.setTopology(1, 1);
+    TraceBuffer buf(true);
+    buf.instant(0.0, "request", "complete");
+    trace.append(0, buf, 0.0, 0);
+    // The file cannot be opened.
+    EXPECT_FALSE(trace.writeChromeJson("/no/such/dir/trace.json"));
+    EXPECT_FALSE(MetricsRegistry(true).writeJson(
+        "/no/such/dir/trace.json.metrics.json", 1e9));
+    // The bytes fit the stdio buffer, so only fclose() sees the full
+    // device's ENOSPC.
+    EXPECT_FALSE(trace.writeChromeJson("/dev/full"));
+    EXPECT_FALSE(MetricsRegistry(true).writeJson("/dev/full", 1e9));
+    // A read-only stream takes no bytes: the write comes up short.
+    std::FILE *ro = std::fopen("/dev/null", "r");
+    ASSERT_NE(ro, nullptr);
+    EXPECT_FALSE(trace.writeChromeJson(ro));
+    std::fclose(ro);
+}
+
+TEST(Trace, SameTimestampRowsKeepRecordingOrder)
+{
+    // Four rows share ts 5: an instant recorded before a 'b', that
+    // 'b' event's 'e', then an instant and an 'X' recorded after it.
+    // The 'e' takes its 'b' event's place in recording order.
+    Trace trace;
+    trace.setTopology(1, 1);
+    trace.setFreqHz(1e6);
+    TraceBuffer buf(true);
+    buf.instant(5.0, "request", "admit");
+    buf.asyncSpan(1, 0.0, 5.0, "request", "execute");
+    buf.instant(5.0, "request", "complete");
+    buf.span(5.0, 6.0, "engine", "advance");
+    trace.append(0, buf, 0.0, 0);
+
+    const std::string json = trace.chromeJson();
+    const std::string rows[] = {
+        R"({"ph":"b","pid":0,"tid":0,"ts":0.000000,"cat":"request",)"
+        R"("name":"execute","id":"0x1"})",
+        R"({"ph":"i","pid":0,"tid":0,"ts":5.000000,"s":"t",)"
+        R"("cat":"request","name":"admit"})",
+        R"({"ph":"e","pid":0,"tid":0,"ts":5.000000,"cat":"request",)"
+        R"("name":"execute","id":"0x1"})",
+        R"({"ph":"i","pid":0,"tid":0,"ts":5.000000,"s":"t",)"
+        R"("cat":"request","name":"complete"})",
+        R"({"ph":"X","pid":0,"tid":0,"ts":5.000000,"dur":1.000000,)"
+        R"("cat":"engine","name":"advance"}
+]})",
+    };
+    size_t prev = 0;
+    for (const std::string &row : rows) {
+        const size_t at = json.find(",\n" + row, prev);
+        ASSERT_NE(at, std::string::npos) << row;
+        prev = at + 1;
+    }
+}
+
+TEST(Trace, ExportFormatsEdgeValues)
+{
+    Trace trace;
+    trace.setTopology(1, 1);
+    trace.setFreqHz(1e6); // 1 cycle == 1 us
+    TraceBuffer buf(true);
+    buf.instant(1500000000000.75, "fault", "fault-onset", "a", 1e-7,
+                "b", 123456789012.0, "c", -0.5);
+    buf.span(1500000000000.75, 1500000000002.25, "engine", "advance");
+    buf.asyncSpan(7, 0.0, 1.0, "request", "queue");
+    trace.append(0, buf, 0.0, /*idSalt=*/std::uint64_t{81} << 56);
+
+    const std::string json = trace.chromeJson();
+    // Fixed notation with six decimals, above 1e12 cycles.
+    EXPECT_NE(json.find(R"("ts":1500000000000.750000,"s":"t")"),
+              std::string::npos);
+    EXPECT_NE(json.find(R"("ts":1500000000000.750000,"dur":1.500000,)"),
+              std::string::npos);
+    // Nine significant digits, exponent form where %g picks it.
+    EXPECT_NE(json.find(R"("args":{"a":1e-07,"b":1.23456789e+11,)"
+                        R"("c":-0.5}})"),
+              std::string::npos);
+    // The salt lands in the top byte; the id prints in lower-case hex.
+    EXPECT_NE(json.find(R"("id":"0x5100000000000007"})"),
+              std::string::npos);
+    EXPECT_NE(json.find(R"("otherData": {"clock_hz": 1000000},)"),
               std::string::npos);
 }
 

@@ -20,7 +20,8 @@
  *   --core-policy=N   neu10 | neu10-nh | v10 | pmt
  *
  * Precedence: CLI > environment > scenario file. Exit 0 on success,
- * 2 on any usage/parse error (FatalError).
+ * 2 on any usage/parse error (FatalError) or when an output file
+ * (JSON record, trace, metrics) cannot be written.
  */
 
 #include <algorithm>
@@ -226,10 +227,20 @@ run(int argc, char **argv)
         const std::string path =
             s.traceOut.empty() ? s.name + ".trace.json" : s.traceOut;
         if (s.mode == ScenarioMode::OpenLoop) {
-            o.fleet.trace.writeChromeJson(path);
-            if (s.trace.metrics)
-                o.fleet.metrics.writeJson(path + ".metrics.json",
-                                          s.board.core.freqHz);
+            if (!o.fleet.trace.writeChromeJson(path)) {
+                std::fprintf(stderr, "error: cannot write trace to %s\n",
+                             path.c_str());
+                return 2;
+            }
+            const std::string metrics_path = path + ".metrics.json";
+            if (s.trace.metrics &&
+                !o.fleet.metrics.writeJson(metrics_path,
+                                           s.board.core.freqHz)) {
+                std::fprintf(stderr,
+                             "error: cannot write metrics to %s\n",
+                             metrics_path.c_str());
+                return 2;
+            }
             std::printf("trace       %llu events -> %s\n",
                         static_cast<unsigned long long>(
                             o.fleet.trace.totalEvents()),
