@@ -4,12 +4,19 @@
  * counts scale (2ME-2VE up to 8ME-8VE, evenly split between the two
  * vNPUs), normalized to V10 on the 2ME-2VE core. More engines mean
  * more slack for uTOp-level scheduling, so the gap widens.
+ *
+ * Every cell is scenarios/paper_closed_loop_bert_enet.scn with the
+ * pair, the core policy, the core's engine counts and the per-tenant
+ * split replaced.
  */
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_util.hh"
 #include "runtime/serving.hh"
+#include "scenario/runner.hh"
+#include "scenario/scenario.hh"
 
 using namespace neu10;
 
@@ -29,22 +36,17 @@ const CoreShape kShapes[] = {
 };
 
 double
-pairThroughput(const WorkloadPair &pair, PolicyKind policy,
-               unsigned mes, unsigned ves)
+pairThroughput(Scenario s, PolicyKind policy, unsigned mes,
+               unsigned ves)
 {
-    ServingConfig cfg;
-    cfg.core.numMes = mes;
-    cfg.core.numVes = ves;
-    cfg.policy = policy;
-    cfg.tenants = {
-        {pair.w1, pair.batch1, std::max(1u, mes / 2),
-         std::max(1u, ves / 2), 1.0, 1},
-        {pair.w2, pair.batch2, std::max(1u, mes / 2),
-         std::max(1u, ves / 2), 1.0, 1},
-    };
-    cfg.minRequests = 6;
-    cfg.maxCycles = 2.5e9;
-    return runServing(cfg).totalThroughput();
+    s.corePolicy = policy;
+    s.board.core.numMes = mes;
+    s.board.core.numVes = ves;
+    for (ScenarioTenantGroup &g : s.groups) {
+        g.nMes = std::max(1u, mes / 2);
+        g.nVes = std::max(1u, ves / 2);
+    }
+    return runServing(toServingConfig(s)).totalThroughput();
 }
 
 } // anonymous namespace
@@ -52,6 +54,12 @@ pairThroughput(const WorkloadPair &pair, PolicyKind policy,
 int
 main()
 {
+    const Scenario cell = bench::loadPairCell(
+        NEU10_SCENARIO_DIR "/paper_closed_loop_bert_enet.scn");
+    auto pairs = evaluationPairs();
+    if (cell.smoke && pairs.size() > 2)
+        pairs.resize(2);
+
     bench::header("Figure 25", "Neu10 throughput with varying engine "
                                "counts, normalized to V10@2ME-2VE");
     std::printf("%-12s", "Pair");
@@ -60,13 +68,15 @@ main()
     std::printf(" %9s\n", "V10@2-2");
     bench::rule();
 
-    for (const auto &pair : bench::smokeTrim(evaluationPairs())) {
+    for (const auto &pair : pairs) {
+        const Scenario pair_cell = bench::withPair(
+            cell, pair.w1, pair.batch1, pair.w2, pair.batch2);
         const double base =
-            pairThroughput(pair, PolicyKind::V10, 2, 2);
+            pairThroughput(pair_cell, PolicyKind::V10, 2, 2);
         std::printf("%-12s", pair.label);
         for (const auto &s : kShapes) {
-            const double thr =
-                pairThroughput(pair, PolicyKind::Neu10, s.mes, s.ves);
+            const double thr = pairThroughput(
+                pair_cell, PolicyKind::Neu10, s.mes, s.ves);
             std::printf(" %9.2f", thr / base);
         }
         std::printf(" %9.2f\n", 1.0);

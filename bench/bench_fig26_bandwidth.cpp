@@ -4,41 +4,32 @@
  * bandwidth (900 GB/s, 1.2 TB/s, 2 TB/s, 3 TB/s). Includes the two
  * memory-intensive pairs (DLRM+NCF, NCF+TFMR) and the LLaMA
  * collocations alongside the standard nine.
+ *
+ * The request pairs are cells of scenarios/paper_closed_loop_bert_enet
+ * .scn and the LLaMA rows cells of paper_closed_loop_llama_bert.scn
+ * (one full LLaMA inference each), with the pair, the core policy
+ * and the HBM bandwidth replaced.
  */
 
 #include <cstdio>
+#include <utility>
 
 #include "bench_util.hh"
 #include "runtime/serving.hh"
+#include "scenario/runner.hh"
+#include "scenario/scenario.hh"
 
 using namespace neu10;
 
 namespace
 {
 
-struct SweepPair
-{
-    const char *label;
-    ModelId w1;
-    ModelId w2;
-    unsigned b1;
-    unsigned b2;
-    unsigned minRequests;
-};
-
 double
-totalThroughput(const SweepPair &pair, PolicyKind policy, double bw)
+totalThroughput(Scenario s, PolicyKind policy, double bw)
 {
-    ServingConfig cfg;
-    cfg.core.hbmBytesPerSec = bw;
-    cfg.policy = policy;
-    cfg.tenants = {
-        {pair.w1, pair.b1, 2, 2, 1.0, 1},
-        {pair.w2, pair.b2, 2, 2, 1.0, 1},
-    };
-    cfg.minRequests = pair.minRequests;
-    cfg.maxCycles = 4e9;
-    return runServing(cfg).totalThroughput();
+    s.corePolicy = policy;
+    s.board.core.hbmBytesPerSec = bw;
+    return runServing(toServingConfig(s)).totalThroughput();
 }
 
 } // anonymous namespace
@@ -46,41 +37,43 @@ totalThroughput(const SweepPair &pair, PolicyKind policy, double bw)
 int
 main()
 {
-    const double bws[] = {0.9e12, 1.2e12, 2e12, 3e12};
-    const std::vector<SweepPair> all_pairs = {
-        {"DLRM+NCF", ModelId::Dlrm, ModelId::Ncf, 32, 32, 10},
-        {"NCF+TFMR", ModelId::Ncf, ModelId::Transformer, 32, 32, 8},
-        {"DLRM+SMask", ModelId::Dlrm, ModelId::ShapeMask, 32, 8, 6},
-        {"DLRM+RtNt", ModelId::Dlrm, ModelId::RetinaNet, 32, 32, 5},
-        {"NCF+RsNt", ModelId::Ncf, ModelId::ResNet, 32, 32, 8},
-        {"ENet+SMask", ModelId::EfficientNet, ModelId::ShapeMask, 32,
-         8, 6},
-        {"BERT+ENet", ModelId::Bert, ModelId::EfficientNet, 32, 32, 6},
-        {"ENet+MRCN", ModelId::EfficientNet, ModelId::MaskRcnn, 32, 8,
-         6},
-        {"ENet+TFMR", ModelId::EfficientNet, ModelId::Transformer, 32,
-         32, 8},
-        {"MNIST+RtNt", ModelId::Mnist, ModelId::RetinaNet, 32, 32, 5},
-        {"RNRS+RtNt", ModelId::ResNetRs, ModelId::RetinaNet, 32, 32,
-         5},
-        {"LLaMA+BERT", ModelId::Llama, ModelId::Bert, 8, 32, 1},
-        {"LLaMA+RsNt", ModelId::Llama, ModelId::ResNet, 8, 32, 1},
-        {"LLaMA+RtNt", ModelId::Llama, ModelId::RetinaNet, 8, 32, 1},
-    };
-    const auto pairs = bench::smokeTrim(all_pairs);
+    const Scenario cell = bench::loadPairCell(
+        NEU10_SCENARIO_DIR "/paper_closed_loop_bert_enet.scn");
+    const Scenario llm_cell = bench::loadPairCell(
+        NEU10_SCENARIO_DIR "/paper_closed_loop_llama_bert.scn");
 
+    std::vector<std::pair<const char *, Scenario>> rows = {
+        {"DLRM+NCF", bench::withPair(cell, ModelId::Dlrm, 32,
+                                     ModelId::Ncf, 32)},
+        {"NCF+TFMR", bench::withPair(cell, ModelId::Ncf, 32,
+                                     ModelId::Transformer, 32)},
+    };
+    for (const WorkloadPair &p : evaluationPairs())
+        rows.emplace_back(p.label, bench::withPair(cell, p.w1, p.batch1,
+                                                   p.w2, p.batch2));
+    for (const auto &[partner, label] :
+         {std::pair{ModelId::Bert, "LLaMA+BERT"},
+          std::pair{ModelId::ResNet, "LLaMA+RsNt"},
+          std::pair{ModelId::RetinaNet, "LLaMA+RtNt"}}) {
+        Scenario s = llm_cell;
+        s.groups[1].model = partner;
+        rows.emplace_back(label, std::move(s));
+    }
+    if (cell.smoke && rows.size() > 2)
+        rows.resize(2);
+
+    const double bws[] = {0.9e12, 1.2e12, 2e12, 3e12};
     bench::header("Figure 26", "Neu10 total throughput normalized to "
                                "V10, across HBM bandwidths");
     std::printf("%-12s %10s %10s %10s %10s\n", "Pair", "900 GB/s",
                 "1.2 TB/s", "2 TB/s", "3 TB/s");
     bench::rule();
-    for (const auto &pair : pairs) {
-        std::printf("%-12s", pair.label);
+    for (const auto &[label, s] : rows) {
+        std::printf("%-12s", label);
         for (double bw : bws) {
-            const double v10 =
-                totalThroughput(pair, PolicyKind::V10, bw);
+            const double v10 = totalThroughput(s, PolicyKind::V10, bw);
             const double neu =
-                totalThroughput(pair, PolicyKind::Neu10, bw);
+                totalThroughput(s, PolicyKind::Neu10, bw);
             std::printf(" %10.2f", neu / v10);
         }
         std::printf("\n");

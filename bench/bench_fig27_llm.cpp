@@ -5,37 +5,29 @@
  * V10 the LLM's bandwidth-stalled operators occupy every ME, so the
  * partner starves; Neu10's spatial sharing lets the partner keep its
  * engines and harvest the LLM's idle ones.
+ *
+ * Every cell is scenarios/paper_closed_loop_llama_bert.scn (one full
+ * LLaMA inference per design) with the partner model and the core
+ * policy replaced.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <utility>
 
 #include "bench_util.hh"
 #include "runtime/serving.hh"
+#include "scenario/runner.hh"
+#include "scenario/scenario.hh"
 
 using namespace neu10;
-
-namespace
-{
-
-ServingResult
-runLlmPair(ModelId partner, unsigned batch, PolicyKind policy)
-{
-    ServingConfig cfg;
-    cfg.policy = policy;
-    cfg.tenants = {
-        {ModelId::Llama, 8, 2, 2, 1.0, 1},
-        {partner, batch, 2, 2, 1.0, 1},
-    };
-    cfg.minRequests = 1;   // one full LLaMA inference per design
-    cfg.maxCycles = 6e9;
-    return runServing(cfg);
-}
-
-} // anonymous namespace
 
 int
 main()
 {
+    const Scenario cell = bench::loadPairCell(
+        NEU10_SCENARIO_DIR "/paper_closed_loop_llama_bert.scn");
+
     bench::header("Figure 27", "LLM + compute-intensive collocation "
                                "(throughput normalized to V10; core "
                                "utilizations)");
@@ -50,8 +42,12 @@ main()
         {ModelId::RetinaNet, "LLaMA+RtNt"},
     };
     for (const auto &[partner, label] : partners) {
-        const auto v10 = runLlmPair(partner, 32, PolicyKind::V10);
-        const auto neu = runLlmPair(partner, 32, PolicyKind::Neu10);
+        Scenario s = cell;
+        s.groups[1].model = partner;
+        s.corePolicy = PolicyKind::V10;
+        const auto v10 = runServing(toServingConfig(s));
+        s.corePolicy = PolicyKind::Neu10;
+        const auto neu = runServing(toServingConfig(s));
         std::printf("%-12s %10.2f %10.2f %8.1f%% %8.1f%% %8.1f%% "
                     "%8.1f%%\n",
                     label,

@@ -20,7 +20,6 @@
 #include "cluster/fleet.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
-#include "stats/distribution.hh"
 
 using namespace neu10;
 
@@ -49,20 +48,14 @@ summarize(const Scenario &s, const FleetResult &r)
     out.scheduler = s.llm.scheduler == LlmScheduler::Continuous
                         ? "continuous"
                         : "static-batch";
-    Distribution ttft;
-    for (const TenantResult &t : r.tenants) {
-        out.tokens += t.llm.tokensGenerated;
-        out.preemptions += t.llm.preemptions;
-        out.kvHighWater += t.llm.kvPageHighWater;
-        ttft.merge(t.llm.ttftCycles);
-    }
+    const LlmEndpointStats l = fleetLlmTotals(r, s.board.core.freqHz);
+    out.tokens = l.tokensGenerated;
+    out.preemptions = l.preemptions;
+    out.kvHighWater = l.kvPageHighWater;
     out.makespan = r.makespan;
-    const double secs =
-        Clock(s.board.core.freqHz).toSeconds(
-            std::max(1.0, r.makespan));
-    out.tokensPerSec = static_cast<double>(out.tokens) / secs;
-    out.ttftP50 = ttft.percentile(0.50);
-    out.ttftP99 = ttft.percentile(0.99);
+    out.tokensPerSec = l.tokensPerSecond;
+    out.ttftP50 = l.ttftCycles.percentile(0.50);
+    out.ttftP99 = l.ttftCycles.percentile(0.99);
     return out;
 }
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared formatting helpers for the figure-reproduction binaries.
+ * Shared helpers for the figure-reproduction binaries: the §V-A
+ * closed-loop cell loader and the table formatting.
  *
  * Every bench prints: a header naming the paper artifact it
  * regenerates, the fixed-width data table(s), and a short "shape"
@@ -10,16 +11,18 @@
 #ifndef NEU10_BENCH_BENCH_UTIL_HH
 #define NEU10_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
+#include "models/zoo.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "scenario/scenario.hh"
 #include "sim/clock.hh"
 
 namespace neu10
@@ -63,30 +66,40 @@ writeTrace(const Trace &trace, const MetricsRegistry &metrics,
 }
 
 /**
- * True when NEU10_SMOKE is set truthy (common/env grammar): CI smoke
- * runs (the `smoke` CTest label) shrink the sweeps so every bench
- * binary finishes in a couple of seconds while still exercising the
- * full code path at least once. A malformed value exits with a clear
- * error instead of silently running the multi-minute full sweep.
+ * Load the §V-A closed-loop cell at @p path — two single-tenant
+ * groups on one core — and apply the harness env knobs
+ * (applyEnvOverrides: NEU10_SMOKE sets Scenario::smoke, which the
+ * benches trim their sweeps by). Exit 2 on a malformed file, cell or
+ * env value.
  */
-inline bool
-smokeMode()
+inline Scenario
+loadPairCell(const std::string &path)
 {
     try {
-        return envFlag("NEU10_SMOKE", false);
+        Scenario cell = loadScenarioFile(path);
+        applyEnvOverrides(cell);
+        if (cell.mode != ScenarioMode::ClosedLoop ||
+            cell.groups.size() != 2 || cell.totalTenants() != 2)
+            fatal("%s: a workload-pair cell is a closed-loop scenario "
+                  "with exactly two single-tenant groups",
+                  cell.file.c_str());
+        return cell;
     } catch (const FatalError &err) {
         usageError(err);
     }
 }
 
-/** In smoke mode keep only the first @p keep entries of a sweep. */
-template <typename T>
-inline std::vector<T>
-smokeTrim(std::vector<T> v, std::size_t keep = 2)
+/** @p cell with its two tenants running @p w1 and @p w2 at batches
+ * @p b1 and @p b2. */
+inline Scenario
+withPair(Scenario cell, ModelId w1, unsigned b1, ModelId w2,
+         unsigned b2)
 {
-    if (smokeMode() && v.size() > keep)
-        v.resize(keep);
-    return v;
+    cell.groups[0].model = w1;
+    cell.groups[0].batch = b1;
+    cell.groups[1].model = w2;
+    cell.groups[1].batch = b2;
+    return cell;
 }
 
 /** Print the bench banner. */

@@ -836,4 +836,33 @@ runFleet(const FleetConfig &config)
     return result;
 }
 
+LlmEndpointStats
+fleetLlmTotals(const FleetResult &result, double freqHz)
+{
+    LlmEndpointStats out;
+    for (const TenantResult &t : result.tenants) {
+        out.tokensGenerated += t.llm.tokensGenerated;
+        out.prefills += t.llm.prefills;
+        out.decodeIterations += t.llm.decodeIterations;
+        out.preemptions += t.llm.preemptions;
+        out.kvPages += t.llm.kvPages;
+        out.kvPageHighWater += t.llm.kvPageHighWater;
+        out.kvAllocOps += t.llm.kvAllocOps;
+        out.kvFreeOps += t.llm.kvFreeOps;
+        out.kvFailedAllocs += t.llm.kvFailedAllocs;
+        // Page-weighted sums; divided by the page total below.
+        out.kvOccupancyMean += t.llm.kvOccupancyMean * t.llm.kvPages;
+        out.kvFragMean += t.llm.kvFragMean * t.llm.kvPages;
+        out.ttftCycles.merge(t.llm.ttftCycles);
+    }
+    if (out.kvPages > 0) {
+        out.kvOccupancyMean /= out.kvPages;
+        out.kvFragMean /= out.kvPages;
+    }
+    out.tokensPerSecond =
+        static_cast<double>(out.tokensGenerated) /
+        Clock(freqHz).toSeconds(std::max(1.0, result.makespan));
+    return out;
+}
+
 } // namespace neu10

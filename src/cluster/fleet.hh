@@ -373,6 +373,18 @@ struct FleetResult
  */
 FleetResult runFleet(const FleetConfig &config);
 
+/**
+ * Whole-run LLM totals of a fleet run (all zero unless it served
+ * ServingMode::LlmContinuous): counters and KV pages summed over
+ * tenants, kvPageHighWater the sum of the endpoints' peaks, the pool
+ * means weighted by each endpoint's pool size, TTFT merged in tenant
+ * order, and tokens/s over the fleet makespan on a @p freqHz clock.
+ * Computed on demand, so a run does not hold a second copy of every
+ * TTFT sample.
+ */
+LlmEndpointStats fleetLlmTotals(const FleetResult &result,
+                                double freqHz);
+
 } // namespace neu10
 
 #endif // NEU10_CLUSTER_FLEET_HH

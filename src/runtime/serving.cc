@@ -37,6 +37,18 @@ compileFor(const TenantSpec &spec, PolicyKind policy,
 namespace
 {
 
+/**
+ * Open loop: per-tenant core-side submission window. An admitted
+ * request enters the core simulator only while fewer than this many
+ * of its tenant's requests are in there (the rest of the admitted
+ * backlog waits in a host-side FIFO, as a real serving stack would
+ * double-buffer an accelerator queue). Keeps a tenant's requests
+ * executing mostly one-after-another — and bounds the work an
+ * epoch-boundary stop can lose to re-execution to this many
+ * partially-run requests per tenant.
+ */
+constexpr unsigned kCorePipelineDepth = 2;
+
 /** Closed loop (§V-A): resubmit on completion until every tenant
  * reaches minRequests. @return the measurement stop time. */
 Cycles
@@ -121,7 +133,6 @@ driveOpenLoop(const ServingConfig &config,
               ServingResult &result)
 {
     const size_t n = config.tenants.size();
-    const unsigned depth = std::max(1u, config.corePipelineDepth);
     TraceBuffer &trace = result.trace;
 
     // Async-span ids for overlapping request lifecycles: a request's
@@ -134,7 +145,7 @@ driveOpenLoop(const ServingConfig &config,
     };
     // Admitted requests live in two stages: a host-side FIFO of
     // arrival stamps (`waiting`) and the core simulator itself
-    // (`in_core`, at most corePipelineDepth per tenant). `inflight`
+    // (`in_core`, at most kCorePipelineDepth per tenant). `inflight`
     // counts both — that is what admission control sees.
     std::vector<std::uint64_t> inflight(n, 0);
     std::vector<std::deque<Cycles>> waiting(n);
@@ -205,7 +216,7 @@ driveOpenLoop(const ServingConfig &config,
     pump = [&](std::uint32_t i) {
         if (queue.now() < start_at[i])
             return; // still stalled (migration cost); wake below
-        while (in_core[i] < depth && !waiting[i].empty()) {
+        while (in_core[i] < kCorePipelineDepth && !waiting[i].empty()) {
             const Cycles stamp = waiting[i].front();
             waiting[i].pop_front();
             submit_one(i, stamp);
@@ -329,6 +340,16 @@ runServing(const ServingConfig &config)
     // phases directly (no event queue, no compiled program).
     if (config.mode == ServingMode::LlmContinuous)
         return llm::runLlmServing(config);
+    return runServing(config, makePolicy(config.policy));
+}
+
+ServingResult
+runServing(const ServingConfig &config,
+           std::unique_ptr<SchedulerPolicy> policy)
+{
+    NEU10_ASSERT(!config.tenants.empty(), "experiment needs tenants");
+    NEU10_ASSERT(config.mode != ServingMode::LlmContinuous,
+                 "LLM serving has no core scheduling policy");
 
     // Compile every tenant's model once — or take the caller's
     // precompiled, shared binary (TenantSpec::program).
@@ -358,7 +379,7 @@ runServing(const ServingConfig &config)
     }
 
     EventQueue queue;
-    NpuCoreSim core(queue, config.core, makePolicy(config.policy),
+    NpuCoreSim core(queue, config.core, std::move(policy),
                     std::move(slots));
     core.setCaptureOpTimings(config.captureOpTimings);
     core.setCaptureAssignment(config.captureAssignment);

@@ -25,6 +25,7 @@
 #ifndef NEU10_RUNTIME_SERVING_HH
 #define NEU10_RUNTIME_SERVING_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -179,18 +180,6 @@ struct ServingConfig
      */
     Cycles stopAtCycles = kCyclesInf;
 
-    /**
-     * Open loop only: per-tenant core-side submission window. An
-     * admitted request enters the core simulator only while fewer
-     * than this many of its tenant's requests are in there (the rest
-     * of the admitted backlog waits in a host-side FIFO, as a real
-     * serving stack would double-buffer an accelerator queue). Keeps
-     * a tenant's requests executing mostly one-after-another — and
-     * bounds the work an epoch-boundary stop can lose to re-execution
-     * to this many partially-run requests per tenant.
-     */
-    unsigned corePipelineDepth = 2;
-
     /** LLM serving knobs (ServingMode::LlmContinuous only). */
     LlmParams llm;
 
@@ -315,6 +304,16 @@ struct ServingResult
  * identical results.
  */
 ServingResult runServing(const ServingConfig &config);
+
+/**
+ * Run one closed- or open-loop experiment with @p policy scheduling
+ * the core instead of makePolicy(config.policy) — e.g. a Neu10Policy
+ * with one harvest direction off. config.policy still selects the
+ * compiler backend and names the result. Not for
+ * ServingMode::LlmContinuous, which has no core scheduler.
+ */
+ServingResult runServing(const ServingConfig &config,
+                         std::unique_ptr<SchedulerPolicy> policy);
 
 /** Compile @p spec's model for @p policy on @p core (cached upstream
  * by the benches; this is a pure function). */

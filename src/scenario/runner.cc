@@ -1,6 +1,5 @@
 #include "scenario/runner.hh"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -132,7 +131,6 @@ toServingConfig(const Scenario &s)
     cfg.minRequests = s.effectiveMinRequests();
     if (s.maxCycles > 0.0)
         cfg.maxCycles = s.maxCycles;
-    cfg.trace = s.trace;
 
     const std::vector<unsigned> order = expansionOrder(s);
     for (const unsigned k : order) {
@@ -369,47 +367,26 @@ emitFleet(Json &j, const Scenario &s, const ScenarioOutcome &o)
     j.num("migrations", r.migrations);
 
     if (s.hasLlm) {
-        // Fleet-level LLM aggregate: counters sum, TTFT merges, the
-        // pool means weight by each endpoint's pool size.
-        std::uint64_t tokens = 0, prefills = 0, decode = 0;
-        std::uint64_t preempt = 0, pages = 0, high_water = 0;
-        std::uint64_t failed = 0;
-        double occ = 0.0, frag = 0.0;
-        Distribution ttft;
-        for (const TenantResult &t : r.tenants) {
-            tokens += t.llm.tokensGenerated;
-            prefills += t.llm.prefills;
-            decode += t.llm.decodeIterations;
-            preempt += t.llm.preemptions;
-            pages += t.llm.kvPages;
-            high_water += t.llm.kvPageHighWater;
-            failed += t.llm.kvFailedAllocs;
-            occ += t.llm.kvOccupancyMean * t.llm.kvPages;
-            frag += t.llm.kvFragMean * t.llm.kvPages;
-            ttft.merge(t.llm.ttftCycles);
-        }
-        const double secs = std::max(1.0, r.makespan) /
-                            s.board.core.freqHz;
+        const LlmEndpointStats l =
+            fleetLlmTotals(r, s.board.core.freqHz);
         j.open("llm");
         j.str("scheduler",
               s.llm.scheduler == LlmScheduler::Continuous
                   ? "continuous"
                   : "static-batch");
         j.num("page_tokens", s.llm.pageTokens);
-        j.num("tokens", tokens);
-        j.num("tokens_per_sec", static_cast<double>(tokens) / secs);
-        j.num("prefills", prefills);
-        j.num("decode_iterations", decode);
-        j.num("preemptions", preempt);
-        j.num("ttft_p50_cycles", ttft.percentile(0.50));
-        j.num("ttft_p99_cycles", ttft.percentile(0.99));
-        j.num("kv_pages", pages);
-        j.num("kv_page_high_water", high_water);
-        j.num("kv_failed_allocs", failed);
-        j.num("kv_occupancy_mean",
-              pages > 0 ? occ / static_cast<double>(pages) : 0.0);
-        j.num("kv_frag_mean",
-              pages > 0 ? frag / static_cast<double>(pages) : 0.0);
+        j.num("tokens", l.tokensGenerated);
+        j.num("tokens_per_sec", l.tokensPerSecond);
+        j.num("prefills", l.prefills);
+        j.num("decode_iterations", l.decodeIterations);
+        j.num("preemptions", l.preemptions);
+        j.num("ttft_p50_cycles", l.ttftCycles.percentile(0.50));
+        j.num("ttft_p99_cycles", l.ttftCycles.percentile(0.99));
+        j.num("kv_pages", l.kvPages);
+        j.num("kv_page_high_water", l.kvPageHighWater);
+        j.num("kv_failed_allocs", l.kvFailedAllocs);
+        j.num("kv_occupancy_mean", l.kvOccupancyMean);
+        j.num("kv_frag_mean", l.kvFragMean);
         j.close();
     }
 

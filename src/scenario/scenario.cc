@@ -774,14 +774,15 @@ validateClosedLoop(const Interp &in, const Scenario &s,
                    const std::vector<Section> &sections)
 {
     // Closed loop is the paper's single-core §V-A methodology: no
-    // fleet placement, no epochs, no faults, no open-loop traffic.
+    // fleet placement, no epochs, no faults, no open-loop traffic,
+    // and no trace export (neu10_run writes traces in open loop only).
     for (const Section &sec : sections) {
         if (sec.name == "elastic" || sec.name == "resilience" ||
-            sec.name == "faults")
+            sec.name == "faults" || sec.name == "trace")
             in.fail(sec.line,
                     csprintf("section [%s] is open-loop only; "
                              "closed-loop scenarios drive one core "
-                             "with no epochs or faults",
+                             "with no epochs, faults or trace export",
                              sec.name.c_str()));
         if (sec.name == "fleet") {
             for (const Entry &e : sec.entries)

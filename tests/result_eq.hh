@@ -1,7 +1,8 @@
 /**
  * @file
- * Exact-equality comparators for fleet results, used by the LLM
- * thread-invariance and determinism tests (test_llm).
+ * Exact-equality comparators for fleet and serving results, used by
+ * the LLM thread-invariance and determinism tests (test_llm) and the
+ * policy-object tests of runServing (test_serving).
  *
  * "Equal" here is literal: every counter, every stamp, every latency
  * sample and every derived double is compared with exact equality,
@@ -75,6 +76,21 @@ expectTenantEq(const TenantResult &a, const TenantResult &b,
     ASSERT_EQ(a.backlog.size(), b.backlog.size());
     for (size_t i = 0; i < a.backlog.size(); ++i)
         ASSERT_EQ(a.backlog[i], b.backlog[i]) << "backlog " << i;
+}
+
+/** Everything but ServingResult::policy, which names
+ * ServingConfig::policy rather than the policy object that ran. */
+inline void
+expectServingEq(const ServingResult &a, const ServingResult &b)
+{
+    EXPECT_EQ(a.makespan, b.makespan);
+    EXPECT_EQ(a.meUsefulUtil, b.meUsefulUtil);
+    EXPECT_EQ(a.meHeldUtil, b.meHeldUtil);
+    EXPECT_EQ(a.veUtil, b.veUtil);
+    EXPECT_EQ(a.avgHbmBytesPerCycle, b.avgHbmBytesPerCycle);
+    ASSERT_EQ(a.tenants.size(), b.tenants.size());
+    for (size_t i = 0; i < a.tenants.size(); ++i)
+        expectTenantEq(a.tenants[i], b.tenants[i], i);
 }
 
 inline void

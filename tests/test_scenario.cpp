@@ -809,6 +809,12 @@ TEST(ScenarioErrors, ClosedLoopRejectsOpenLoopSections)
                 "[elastic]\nepochs = 4\n"
                 "[tenant.a]\nmodel = MNIST\nmes = 2\nves = 2\n",
                 "test.scn:5: section [elastic] is open-loop only");
+    // neu10_run writes traces in open loop only, so a closed-loop
+    // [trace] section would record and then silently drop its trace.
+    expectError("[scenario]\nname = t\n[fleet]\nmode = closed-loop\n"
+                "[trace]\nenabled = on\nengine-events = on\n"
+                "[tenant.a]\nmodel = MNIST\nmes = 2\nves = 2\n",
+                "test.scn:5: section [trace] is open-loop only");
 }
 
 TEST(ScenarioErrors, ClosedLoopRejectsOpenLoopFleetKeys)

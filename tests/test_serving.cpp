@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "common/logging.hh"
+#include "result_eq.hh"
 #include "runtime/serving.hh"
+#include "sched/neu10_policy.hh"
 
 namespace neu10
 {
@@ -229,6 +232,34 @@ TEST(Serving, TimeCapYieldsWellFormedPartialResult)
         EXPECT_EQ(t.latencyCycles.count(), t.completed) << t.model;
     }
     setLogLevel(LogLevel::Warn);
+}
+
+TEST(Serving, PolicyObjectOverloadMatchesPolicyKind)
+{
+    for (auto pol : {PolicyKind::Pmt, PolicyKind::V10,
+                     PolicyKind::Neu10NH, PolicyKind::Neu10}) {
+        SCOPED_TRACE(policyName(pol));
+        const auto cfg = pairConfig(ModelId::Dlrm, 32,
+                                    ModelId::ShapeMask, 8, pol, 4);
+        const auto a = runServing(cfg);
+        const auto b = runServing(cfg, makePolicy(pol));
+        EXPECT_EQ(a.policy, b.policy);
+        expectServingEq(a, b);
+    }
+}
+
+TEST(Serving, HarvestingOffInBothDirectionsIsNoHarvest)
+{
+    // The harvest ablation's baseline: a harvesting Neu10Policy with
+    // ME and VE harvesting both off is exactly Neu10-NH.
+    auto cfg = pairConfig(ModelId::Dlrm, 32, ModelId::ShapeMask, 8,
+                          PolicyKind::Neu10, 4);
+    auto policy = std::make_unique<Neu10Policy>(/*harvest=*/true);
+    policy->setHarvestMes(false);
+    policy->setHarvestVes(false);
+    const auto off = runServing(cfg, std::move(policy));
+    cfg.policy = PolicyKind::Neu10NH;
+    expectServingEq(off, runServing(cfg));
 }
 
 TEST(Serving, CompileForMatchesPolicyIsa)

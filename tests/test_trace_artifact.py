@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""End-to-end trace artifact test (CTest: trace_artifact).
+"""Traced smoke run, validated (CTest: trace_artifact.<name>).
 
-Runs bench_cluster_serving in smoke mode with NEU10_TRACE=on, then
-validates the emitted Chrome trace and metrics JSON with
-tools/check_trace.py — the exact pipeline CI's traced smoke-run job
-uses, so a bench or exporter regression fails here first.
+Runs COMMAND with NEU10_SMOKE=1, NEU10_TRACE=on and NEU10_TRACE_OUT=
+TRACE, then validates the Chrome trace and its metrics JSON
+(TRACE.metrics.json) with tools/check_trace.py, requiring every
+--require-event NAME. The trace stays behind as a browsable artifact
+(drag it into https://ui.perfetto.dev); CI uploads the directory.
 
-Usage: test_trace_artifact.py REPO_ROOT BENCH_BINARY
+Usage: test_trace_artifact.py TRACE [--require-event NAME]... -- COMMAND...
 """
 
+import argparse
 import os
 import pathlib
 import subprocess
 import sys
-import tempfile
+
+CHECK_TRACE = (pathlib.Path(__file__).resolve().parent.parent / "tools" /
+               "check_trace.py")
 
 
 def run(cmd, **kwargs):
@@ -25,34 +29,34 @@ def run(cmd, **kwargs):
 
 
 def main():
-    if len(sys.argv) != 3:
-        sys.exit(f"usage: {sys.argv[0]} REPO_ROOT BENCH_BINARY")
-    root = pathlib.Path(sys.argv[1])
-    bench = pathlib.Path(sys.argv[2])
-    check = root / "tools" / "check_trace.py"
-    if not bench.exists():
-        sys.exit(f"FAIL: bench binary {bench} not found")
+    split = sys.argv.index("--") if "--" in sys.argv else len(sys.argv)
+    parser = argparse.ArgumentParser(
+        usage="%(prog)s TRACE [--require-event NAME]... -- COMMAND...")
+    parser.add_argument("trace", type=pathlib.Path)
+    parser.add_argument("--require-event", action="append", default=[],
+                        metavar="NAME")
+    args = parser.parse_args(sys.argv[1:split])
+    command = sys.argv[split + 1:]
+    if not command:
+        parser.error("missing '-- COMMAND...'")
+    trace = args.trace
+    metrics = pathlib.Path(f"{trace}.metrics.json")
 
-    with tempfile.TemporaryDirectory() as tmp:
-        trace = pathlib.Path(tmp) / "fleet.trace.json"
-        env = dict(os.environ,
-                   NEU10_SMOKE="1",
-                   NEU10_TRACE="on",
-                   NEU10_TRACE_OUT=str(trace))
-        run([bench], env=env, stdout=subprocess.DEVNULL)
-        if not trace.exists():
-            sys.exit("FAIL: bench did not write the trace file")
-        run([sys.executable, check, trace,
-             "--metrics", f"{trace}.metrics.json",
-             # The canonical fleet run must show the full request
-             # lifecycle plus fleet-level bookkeeping.
-             "--require-event", "admit",
-             "--require-event", "queue",
-             "--require-event", "execute",
-             "--require-event", "complete",
-             "--require-event", "place",
-             "--require-event", "epoch"])
-    print("ok: traced smoke run produced a valid trace + metrics")
+    # A trace left by an earlier run must not pass for this one.
+    trace.parent.mkdir(parents=True, exist_ok=True)
+    for stale in (trace, metrics):
+        stale.unlink(missing_ok=True)
+
+    env = dict(os.environ,
+               NEU10_SMOKE="1",
+               NEU10_TRACE="on",
+               NEU10_TRACE_OUT=str(trace))
+    run(command, env=env, stdout=subprocess.DEVNULL)
+    if not trace.exists():
+        sys.exit(f"FAIL: {command[0]} did not write {trace}")
+    require = [a for e in args.require_event for a in ("--require-event", e)]
+    run([sys.executable, CHECK_TRACE, trace, "--metrics", metrics, *require])
+    print(f"ok: {trace} is a valid trace with valid metrics")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@
  * (JSON record, trace, metrics) cannot be written.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -86,31 +85,21 @@ printOpenLoop(const Scenario &s, const ScenarioOutcome &o)
                 100.0 * r.coreEuUtil.mean(), r.coreEuUtil.stddev(),
                 r.migrations, toMs(r.makespan));
     if (s.hasLlm) {
-        std::uint64_t tokens = 0, preempt = 0;
-        std::uint32_t high_water = 0, pages = 0;
-        Distribution ttft;
-        for (const TenantResult &t : r.tenants) {
-            tokens += t.llm.tokensGenerated;
-            preempt += t.llm.preemptions;
-            high_water += t.llm.kvPageHighWater;
-            pages += t.llm.kvPages;
-            ttft.merge(t.llm.ttftCycles);
-        }
-        const double secs =
-            std::max(1.0, r.makespan) / s.board.core.freqHz;
+        const LlmEndpointStats l =
+            fleetLlmTotals(r, s.board.core.freqHz);
         std::printf("llm         %s scheduler  %llu tokens  %.0f "
                     "tok/s  TTFT p50 %.3f  p99 %.3f ms\n",
                     s.llm.scheduler == LlmScheduler::Continuous
                         ? "continuous"
                         : "static-batch",
-                    static_cast<unsigned long long>(tokens),
-                    static_cast<double>(tokens) / secs,
-                    toMs(ttft.percentile(0.50)),
-                    toMs(ttft.percentile(0.99)));
+                    static_cast<unsigned long long>(l.tokensGenerated),
+                    l.tokensPerSecond,
+                    toMs(l.ttftCycles.percentile(0.50)),
+                    toMs(l.ttftCycles.percentile(0.99)));
         std::printf("kv pool     %u pages fleet-wide  high water %u  "
                     "%llu preemptions\n",
-                    pages, high_water,
-                    static_cast<unsigned long long>(preempt));
+                    l.kvPages, l.kvPageHighWater,
+                    static_cast<unsigned long long>(l.preemptions));
     }
     if (r.faultsInjected > 0)
         std::printf("faults      %u injected  %u core failures  %u "
@@ -223,29 +212,28 @@ run(int argc, char **argv)
     else
         printClosedLoop(s, o);
 
+    // Only open loop traces: the parser rejects a closed-loop
+    // [trace] section and applyEnvOverrides ignores NEU10_TRACE there.
     if (s.trace.enabled) {
         const std::string path =
             s.traceOut.empty() ? s.name + ".trace.json" : s.traceOut;
-        if (s.mode == ScenarioMode::OpenLoop) {
-            if (!o.fleet.trace.writeChromeJson(path)) {
-                std::fprintf(stderr, "error: cannot write trace to %s\n",
-                             path.c_str());
-                return 2;
-            }
-            const std::string metrics_path = path + ".metrics.json";
-            if (s.trace.metrics &&
-                !o.fleet.metrics.writeJson(metrics_path,
-                                           s.board.core.freqHz)) {
-                std::fprintf(stderr,
-                             "error: cannot write metrics to %s\n",
-                             metrics_path.c_str());
-                return 2;
-            }
-            std::printf("trace       %llu events -> %s\n",
-                        static_cast<unsigned long long>(
-                            o.fleet.trace.totalEvents()),
-                        path.c_str());
+        if (!o.fleet.trace.writeChromeJson(path)) {
+            std::fprintf(stderr, "error: cannot write trace to %s\n",
+                         path.c_str());
+            return 2;
         }
+        const std::string metrics_path = path + ".metrics.json";
+        if (s.trace.metrics &&
+            !o.fleet.metrics.writeJson(metrics_path,
+                                       s.board.core.freqHz)) {
+            std::fprintf(stderr, "error: cannot write metrics to %s\n",
+                         metrics_path.c_str());
+            return 2;
+        }
+        std::printf("trace       %llu events -> %s\n",
+                    static_cast<unsigned long long>(
+                        o.fleet.trace.totalEvents()),
+                    path.c_str());
     }
 
     if (!json_path.empty()) {
