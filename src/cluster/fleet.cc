@@ -62,6 +62,21 @@ class EpochRunCollector
     std::size_t recorded_ NEU10_GUARDED_BY(mutex_) = 0;
 };
 
+/**
+ * Add a core's per-request samples to a tenant's accumulator. An
+ * empty accumulator (every single-epoch run, and the first epoch of
+ * the others) takes them instead of copying; nothing reads the
+ * per-core distribution afterwards.
+ */
+void
+absorbSamples(Distribution &acc, Distribution &core)
+{
+    if (acc.empty())
+        acc = std::move(core);
+    else
+        acc.merge(core);
+}
+
 } // anonymous namespace
 
 FleetResult
@@ -414,7 +429,7 @@ runFleet(const FleetConfig &config)
                                      c % cores_per_board);
             collector.record(k, runServing(runs[k]));
         });
-        const std::vector<ServingResult> done = collector.take();
+        std::vector<ServingResult> done = collector.take();
 
         // ---- aggregate the epoch (serial, core-index order) -------
         FleetEpochReport er;
@@ -431,7 +446,7 @@ runFleet(const FleetConfig &config)
         for (size_t k = 0; k < occupied.size(); ++k) {
             const CoreId c = occupied[k];
             const bool faulted = fatal_abs[c] < kCyclesInf;
-            const ServingResult &r = done[k];
+            ServingResult &r = done[k];
             const Cycles measured = std::max(1.0, r.makespan);
             if (tracing)
                 result.trace.append(
@@ -446,7 +461,7 @@ runFleet(const FleetConfig &config)
                                     : (last ? r.makespan : window);
             for (size_t t = 0; t < residents[c].size(); ++t) {
                 const size_t i = residents[c][t];
-                const TenantResult &tr = r.tenants[t];
+                TenantResult &tr = r.tenants[t];
                 TenantResult &acc = result.tenants[i];
                 acc.model = tr.model;
                 acc.submitted += tr.submitted;
@@ -454,13 +469,13 @@ runFleet(const FleetConfig &config)
                 acc.completed += tr.completed;
                 acc.sloMet += tr.sloMet;
                 acc.reclaims += tr.reclaims;
-                acc.latencyCycles.merge(tr.latencyCycles);
+                absorbSamples(acc.latencyCycles, tr.latencyCycles);
                 if (llm_mode) {
                     // Single-epoch by construction (asserted above),
                     // so the time-weighted means copy through
                     // unweighted.
                     LlmEndpointStats &al = acc.llm;
-                    const LlmEndpointStats &el = tr.llm;
+                    LlmEndpointStats &el = tr.llm;
                     al.tokensGenerated += el.tokensGenerated;
                     al.prefills += el.prefills;
                     al.decodeIterations += el.decodeIterations;
@@ -473,7 +488,7 @@ runFleet(const FleetConfig &config)
                     al.kvFailedAllocs += el.kvFailedAllocs;
                     al.kvOccupancyMean = el.kvOccupancyMean;
                     al.kvFragMean = el.kvFragMean;
-                    al.ttftCycles.merge(el.ttftCycles);
+                    absorbSamples(al.ttftCycles, el.ttftCycles);
                     llm_tokens += el.tokensGenerated;
                     llm_prefills += el.prefills;
                     llm_decode += el.decodeIterations;

@@ -20,8 +20,10 @@ KvPoolStats::fragmentationFrac(std::uint32_t pageTokens) const
                      static_cast<double>(capacity);
 }
 
-KvPool::KvPool(std::uint32_t numPages, std::uint32_t pageTokens)
-    : pageTokens_(pageTokens)
+KvPool::KvPool(std::uint32_t numPages, std::uint32_t pageTokens,
+               std::size_t numSeqs)
+    : pageTokens_(pageTokens), link_(numPages, kNoPage),
+      holders_(numSeqs)
 {
     if (pageTokens == 0)
         fatal("KvPool: pageTokens must be >= 1");
@@ -45,40 +47,40 @@ std::uint32_t
 KvPool::ensureTokens(SeqId seq, std::uint64_t tokens)
 {
     lastGrowFailed_ = false;
+    if (seq >= holders_.size())
+        fatal("KvPool: sequence id %llu is past the holder table "
+              "(ids below %zu)",
+              static_cast<unsigned long long>(seq), holders_.size());
+    Holder &h = holders_[seq];
     const std::uint32_t want = pagesFor(tokens);
-    const auto it = held_.find(seq);
-    const std::uint32_t have =
-        it == held_.end()
-            ? 0
-            : static_cast<std::uint32_t>(it->second.size());
-    if (want > have) {
-        const std::uint32_t need = want - have;
+    if (want > h.pages) {
+        const std::uint32_t need = want - h.pages;
         if (need > freeList_.size()) {
             ++stats_.failedAllocs;
             lastGrowFailed_ = true;
             return 0;
         }
-        auto &list = (it == held_.end()) ? held_[seq] : it->second;
+        if (h.pages == 0)
+            ++liveHolders_;
         for (std::uint32_t i = 0; i < need; ++i) {
-            list.push_back(freeList_.back());
+            const KvPageId page = freeList_.back();
             freeList_.pop_back();
+            link_[page] = h.newest;
+            h.newest = page;
         }
+        h.pages = want;
         stats_.usedPages += need;
         stats_.allocOps += need;
         stats_.highWaterPages =
             std::max(stats_.highWaterPages, stats_.usedPages);
-        auto &rec = tokens_[seq];
-        stats_.usedTokens += tokens - rec;
-        rec = tokens;
+        stats_.usedTokens += tokens - h.tokens;
+        h.tokens = tokens;
         return need;
     }
     // Already covered: only the live-token count moves.
-    if (tokens > 0 || it != held_.end()) {
-        auto &rec = tokens_[seq];
-        if (tokens > rec) {
-            stats_.usedTokens += tokens - rec;
-            rec = tokens;
-        }
+    if (tokens > h.tokens) {
+        stats_.usedTokens += tokens - h.tokens;
+        h.tokens = tokens;
     }
     return 0;
 }
@@ -86,57 +88,58 @@ KvPool::ensureTokens(SeqId seq, std::uint64_t tokens)
 std::uint32_t
 KvPool::release(SeqId seq)
 {
-    const auto it = held_.find(seq);
-    if (it == held_.end())
+    if (seq >= holders_.size() || holders_[seq].pages == 0)
         return 0;
-    const std::uint32_t freed =
-        static_cast<std::uint32_t>(it->second.size());
-    // Return pages in reverse allocation order so the LIFO free list
-    // hands them back in the order they were taken.
-    for (auto rit = it->second.rbegin(); rit != it->second.rend();
-         ++rit)
-        freeList_.push_back(*rit);
-    held_.erase(it);
-    const auto tit = tokens_.find(seq);
-    if (tit != tokens_.end()) {
-        stats_.usedTokens -= tit->second;
-        tokens_.erase(tit);
-    }
+    Holder &h = holders_[seq];
+    const std::uint32_t freed = h.pages;
+    // The chain runs newest to oldest, so the oldest page lands on
+    // top of the LIFO free list: pages are handed back in the order
+    // they were taken.
+    for (KvPageId page = h.newest; page != kNoPage; page = link_[page])
+        freeList_.push_back(page);
+    stats_.usedTokens -= h.tokens;
     stats_.usedPages -= freed;
     stats_.freeOps += freed;
+    h = Holder{};
+    --liveHolders_;
     return freed;
 }
 
 std::uint32_t
 KvPool::pagesHeld(SeqId seq) const
 {
-    const auto it = held_.find(seq);
-    return it == held_.end()
-               ? 0
-               : static_cast<std::uint32_t>(it->second.size());
+    return seq < holders_.size() ? holders_[seq].pages : 0;
 }
 
 std::uint64_t
 KvPool::tokensHeld(SeqId seq) const
 {
-    const auto it = tokens_.find(seq);
-    return it == tokens_.end() ? 0 : it->second;
+    return seq < holders_.size() ? holders_[seq].tokens : 0;
 }
 
-const std::vector<KvPageId> *
+std::vector<KvPageId>
 KvPool::pages(SeqId seq) const
 {
-    const auto it = held_.find(seq);
-    return it == held_.end() ? nullptr : &it->second;
+    if (seq >= holders_.size())
+        return {};
+    const Holder &h = holders_[seq];
+    std::vector<KvPageId> out(h.pages);
+    KvPageId page = h.newest;
+    for (std::size_t i = out.size(); i > 0; --i) {
+        out[i - 1] = page;
+        page = link_[page];
+    }
+    return out;
 }
 
 std::vector<SeqId>
 KvPool::holders() const
 {
     std::vector<SeqId> out;
-    out.reserve(held_.size());
-    for (const auto &[seq, list] : held_)
-        out.push_back(seq);
+    out.reserve(liveHolders_);
+    for (SeqId seq = 0; seq < holders_.size(); ++seq)
+        if (holders_[seq].pages != 0)
+            out.push_back(seq);
     return out;
 }
 
@@ -145,16 +148,17 @@ KvPool::snapshot() const
 {
     Snapshot snap;
     snap.pageTokens = pageTokens_;
-    snap.seqTokens.reserve(tokens_.size());
-    for (const auto &[seq, toks] : tokens_)
-        snap.seqTokens.emplace_back(seq, toks);
+    snap.seqTokens.reserve(liveHolders_);
+    for (SeqId seq = 0; seq < holders_.size(); ++seq)
+        if (holders_[seq].pages != 0)
+            snap.seqTokens.emplace_back(seq, holders_[seq].tokens);
     return snap;
 }
 
 void
 KvPool::restore(const Snapshot &snap)
 {
-    if (stats_.usedPages != 0 || !held_.empty())
+    if (stats_.usedPages != 0 || liveHolders_ != 0)
         fatal("KvPool::restore: target pool is not empty "
               "(%u pages in use)", stats_.usedPages);
     if (snap.pageTokens != pageTokens_)
@@ -172,19 +176,13 @@ KvPool::restore(const Snapshot &snap)
 void
 KvPool::audit() const
 {
-    std::uint64_t held = 0;
-    for (const auto &[seq, list] : held_)
-        held += list.size();
-    if (held != stats_.usedPages)
-        fatal("KvPool::audit: page lists hold %llu pages but "
-              "usedPages says %u",
-              static_cast<unsigned long long>(held),
-              stats_.usedPages);
     if (stats_.usedPages + freeList_.size() != stats_.totalPages)
         fatal("KvPool::audit: conservation broken (%u used + %zu "
               "free != %u total)",
               stats_.usedPages, freeList_.size(), stats_.totalPages);
-    // Every page id on exactly one list, exactly once.
+    // Every page id on exactly one list, exactly once. Marking
+    // before following a link also bounds each chain walk: a cycle
+    // revisits a page and fails here.
     std::vector<bool> seen(stats_.totalPages, false);
     const auto mark = [&](KvPageId id) {
         if (id >= stats_.totalPages)
@@ -195,19 +193,40 @@ KvPool::audit() const
     };
     for (KvPageId id : freeList_)
         mark(id);
-    for (const auto &[seq, list] : held_) {
-        for (KvPageId id : list)
+    std::uint64_t held = 0;
+    std::size_t live = 0;
+    for (SeqId seq = 0; seq < holders_.size(); ++seq) {
+        const Holder &h = holders_[seq];
+        std::uint64_t chain = 0;
+        for (KvPageId id = h.newest; id != kNoPage; id = link_[id]) {
             mark(id);
-        // Holder list must cover its live tokens exactly.
-        const auto tit = tokens_.find(seq);
-        const std::uint64_t toks =
-            tit == tokens_.end() ? 0 : tit->second;
-        if (pagesFor(toks) > list.size())
-            fatal("KvPool::audit: seq %llu holds %zu pages for "
+            ++chain;
+        }
+        if (chain != h.pages)
+            fatal("KvPool::audit: seq %llu chains %llu pages but "
+                  "records %u",
+                  static_cast<unsigned long long>(seq),
+                  static_cast<unsigned long long>(chain), h.pages);
+        // Holder list must cover its live tokens exactly (a holder
+        // with no pages must record no tokens).
+        if (pagesFor(h.tokens) > h.pages)
+            fatal("KvPool::audit: seq %llu holds %u pages for "
                   "%llu tokens",
-                  static_cast<unsigned long long>(seq), list.size(),
-                  static_cast<unsigned long long>(toks));
+                  static_cast<unsigned long long>(seq), h.pages,
+                  static_cast<unsigned long long>(h.tokens));
+        held += h.pages;
+        if (h.pages != 0)
+            ++live;
     }
+    if (held != stats_.usedPages)
+        fatal("KvPool::audit: page lists hold %llu pages but "
+              "usedPages says %u",
+              static_cast<unsigned long long>(held),
+              stats_.usedPages);
+    if (live != liveHolders_)
+        fatal("KvPool::audit: %zu holders hold pages but the live "
+              "count says %zu",
+              live, liveHolders_);
 }
 
 } // namespace llm

@@ -8,9 +8,13 @@
  * of K+V state. Each live sequence holds an ordered page list that
  * grows as it decodes and is returned wholesale when it completes or
  * is preempted. All accounting is integral (page and token counts),
- * so results are bit-exact by construction; the free list is a LIFO
- * stack and per-sequence state lives in ordered maps, so identical
- * call sequences yield identical pools at any host thread width.
+ * so results are bit-exact by construction. The free list is a LIFO
+ * stack; per-sequence state is one record per sequence id in a
+ * table sized at construction, and each page list is a chain
+ * threaded through a per-page link array. Nothing depends on
+ * hashing or addresses, so identical call sequences yield identical
+ * pools at any host thread width, and the token loop's grow and
+ * release never allocate.
  *
  * The §III-B residency check happens upstream: sizeVnpuForModel
  * reserves HBM for weights + per-sequence state, and
@@ -21,8 +25,8 @@
 #ifndef NEU10_LLM_KV_POOL_HH
 #define NEU10_LLM_KV_POOL_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -58,7 +62,19 @@ struct KvPoolStats
     double fragmentationFrac(std::uint32_t pageTokens) const;
 };
 
-/** Fixed-page KV allocator for one endpoint. */
+/**
+ * Fixed-page KV allocator for one endpoint.
+ *
+ * Sequence ids are dense indices below the bound given at
+ * construction (an endpoint numbers its sequences 0..n-1). Each id
+ * owns one holder record {tokens, pages, newest page} in a table
+ * allocated once; a holder is live while it holds pages. Its pages
+ * form a chain through a link array with one entry per page, from
+ * the newest page back to the oldest. Growing pushes onto the head
+ * of the chain and releasing walks it, so both do O(1) work plus one
+ * step per page moved and never allocate. Holders are visited by a
+ * scan of the table, which is ascending SeqId order by construction.
+ */
 class KvPool
 {
   public:
@@ -66,8 +82,11 @@ class KvPool
      * @param numPages   pool capacity in pages.
      * @param pageTokens tokens of KV state per page (>= 1; enforced
      *                   with fatal()).
+     * @param numSeqs    sequence ids the caller will use: the holder
+     *                   table covers ids 0..numSeqs-1.
      */
-    KvPool(std::uint32_t numPages, std::uint32_t pageTokens);
+    KvPool(std::uint32_t numPages, std::uint32_t pageTokens,
+           std::size_t numSeqs);
 
     std::uint32_t pageTokens() const { return pageTokens_; }
     std::uint32_t totalPages() const { return stats_.totalPages; }
@@ -91,13 +110,15 @@ class KvPool
      * supported — sequences only grow until released.
      * @return pages newly allocated (0 can mean "already covered");
      *         on failure returns 0 and @ref lastGrowFailed is set.
+     * @throws FatalError if @p seq is past the holder table.
      */
     std::uint32_t ensureTokens(SeqId seq, std::uint64_t tokens);
 
     /** True iff the previous ensureTokens() call was refused. */
     bool lastGrowFailed() const { return lastGrowFailed_; }
 
-    /** Release every page @p seq holds. @return pages freed. */
+    /** Release every page @p seq holds. @return pages freed (0 for
+     * an id that holds none, including one past the table). */
     std::uint32_t release(SeqId seq);
 
     /** Pages currently held by @p seq (0 if unknown). */
@@ -106,8 +127,9 @@ class KvPool
     /** Live tokens recorded for @p seq (0 if unknown). */
     std::uint64_t tokensHeld(SeqId seq) const;
 
-    /** @p seq's page list in allocation order; nullptr if unknown. */
-    const std::vector<KvPageId> *pages(SeqId seq) const;
+    /** @p seq's page list in allocation order; empty if unknown.
+     * Walks the chain into a new vector: for tests, not hot paths. */
+    std::vector<KvPageId> pages(SeqId seq) const;
 
     /** Holders in ascending SeqId order (deterministic iteration). */
     std::vector<SeqId> holders() const;
@@ -129,25 +151,39 @@ class KvPool
     /**
      * Rebuild holders from @p snap into this (empty) pool.
      * @throws FatalError if the pool is not empty, page sizes
-     * differ, or capacity cannot cover the image (a restore must
-     * never silently leak or oversubscribe).
+     * differ, an id is past this pool's holder table, or capacity
+     * cannot cover the image (a restore must never silently leak or
+     * oversubscribe).
      */
     void restore(const Snapshot &snap);
 
     /**
-     * Conservation audit: used + free == total, per-holder list
-     * sizes match their token counts, and no page is on two lists
-     * or both held and free. @throws FatalError on violation.
+     * Conservation audit: used + free == total; every page id is in
+     * range and on exactly one list (the free stack or one holder's
+     * chain), exactly once; each chain is as long as its holder's
+     * page count and covers its live tokens; and the live-holder
+     * count matches the table. @throws FatalError on violation.
      */
     void audit() const;
 
   private:
+    /** Chain terminator: the link of a holder's oldest page. */
+    static constexpr KvPageId kNoPage = ~KvPageId{0};
+
+    /** One sequence's books; all zero (newest = kNoPage) unless
+     * live. */
+    struct Holder
+    {
+        std::uint64_t tokens = 0;
+        std::uint32_t pages = 0;
+        KvPageId newest = kNoPage;
+    };
+
     std::uint32_t pageTokens_;
     std::vector<KvPageId> freeList_; // LIFO: pop_back to allocate
-    // Ordered maps: holder iteration order must not depend on
-    // hashing (determinism contract).
-    std::map<SeqId, std::vector<KvPageId>> held_;
-    std::map<SeqId, std::uint64_t> tokens_;
+    std::vector<KvPageId> link_;     // page -> next older page
+    std::vector<Holder> holders_;    // indexed by SeqId
+    std::size_t liveHolders_ = 0;
     KvPoolStats stats_;
     bool lastGrowFailed_ = false;
 };

@@ -91,6 +91,9 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
     const LlmModelSpec &spec = llamaSpec();
     const EndpointParams ep = resolveParams(config, ts, tenant);
     const double ti = tenant; // trace arg
+    // Hot-path trace calls branch on this first (obs/trace.hh), so
+    // an untraced run skips the calls and their arguments.
+    const bool tracing = trace.enabled();
 
     // --- KV pool, carved from the vNPU HBM reservation ------------
     Bytes hbm = ts.hbmBytes;
@@ -101,7 +104,10 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
     }
     const std::uint32_t pages =
         kvPoolPages(spec, hbm, ts.batch, config.llm.pageTokens);
-    KvPool pool(pages, config.llm.pageTokens);
+    // One holder per sequence id: ids index `seqs` (built below,
+    // carried backlog first, then arrivals).
+    KvPool pool(pages, config.llm.pageTokens,
+                ts.backlog.size() + ts.arrivals.size());
     if (pool.pagesFor(static_cast<std::uint64_t>(ep.promptMax) +
                       ep.outputMax) > pages)
         fatal("llm: tenant %u: one sequence can reach %u tokens but "
@@ -179,14 +185,16 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
                         staticDone.size() <
                     ts.maxQueueDepth) {
                     waiting.push_back(idx);
-                    trace.instant(std::max(seqs[next].stamp, t),
-                                  "request", "admit", "tenant", ti,
-                                  "seq", idx);
+                    if (tracing)
+                        trace.instant(std::max(seqs[next].stamp, t),
+                                      "request", "admit", "tenant",
+                                      ti, "seq", idx);
                 } else {
                     ++tr.rejected;
-                    trace.instant(std::max(seqs[next].stamp, t),
-                                  "request", "reject", "tenant", ti,
-                                  "seq", idx);
+                    if (tracing)
+                        trace.instant(std::max(seqs[next].stamp, t),
+                                      "request", "reject", "tenant",
+                                      ti, "seq", idx);
                 }
             }
             ++next;
@@ -194,7 +202,7 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
     };
 
     const auto tracePageAlloc = [&](std::uint32_t newPages) {
-        if (newPages != 0)
+        if (tracing && newPages != 0)
             trace.instant(t, "llm", "page-alloc", "tenant", ti,
                           "pages", newPages, "free",
                           pool.freePages());
@@ -222,9 +230,10 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         if (pool.lastGrowFailed())
             return false;
         waiting.pop_front();
-        trace.asyncSpan(idBase + ++spanSeq, t, t + pc, "llm",
-                        "prefill", "seq", idx, "tokens",
-                        static_cast<double>(ctx));
+        if (tracing)
+            trace.asyncSpan(idBase + ++spanSeq, t, t + pc, "llm",
+                            "prefill", "seq", idx, "tokens",
+                            static_cast<double>(ctx));
         advance(t + pc);
         prefillBusy += pc;
         bytes += static_cast<double>(prefillBytes(spec, ctx));
@@ -260,8 +269,9 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         running.pop_back();
         const std::uint32_t freed = pool.release(victim);
         ++tr.llm.preemptions;
-        trace.instant(t, "llm", "page-evict", "tenant", ti, "seq",
-                      victim, "pages", freed);
+        if (tracing)
+            trace.instant(t, "llm", "page-evict", "tenant", ti, "seq",
+                          victim, "pages", freed);
         // Recompute on readmission: the page list is gone but the
         // generated count survives, so the re-prefill covers
         // prompt + generated and decode resumes where it stopped.
@@ -343,15 +353,17 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         decodeBusy += cost;
         bytes += static_cast<double>(decodeStepBytes(spec, ctx));
         ++tr.llm.decodeIterations;
-        trace.asyncSpan(idBase + ++spanSeq, begin, t, "llm",
-                        "decode", "batch",
-                        static_cast<double>(running.size()), "ctx",
-                        static_cast<double>(ctx));
+        if (tracing)
+            trace.asyncSpan(idBase + ++spanSeq, begin, t, "llm",
+                            "decode", "batch",
+                            static_cast<double>(running.size()),
+                            "ctx", static_cast<double>(ctx));
 
-        // Advance the whole batch one token; retire completions.
-        std::vector<std::uint32_t> still;
-        still.reserve(running.size());
-        for (std::uint32_t idx : running) {
+        // Advance the whole batch one token; retire completions by
+        // compacting `running` in place. The compaction is stable:
+        // preemptYoungest takes running.back().
+        std::size_t kept = 0;
+        for (const std::uint32_t idx : running) {
             Seq &s = seqs[idx];
             ++s.generated;
             ++tr.llm.tokensGenerated;
@@ -365,18 +377,19 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
                 tr.latencyCycles.add(latency);
                 if (latency <= ts.sloCycles)
                     ++tr.sloMet;
-                trace.instant(t, "request", "complete", "tenant", ti,
-                              "latency", latency);
+                if (tracing)
+                    trace.instant(t, "request", "complete", "tenant",
+                                  ti, "latency", latency);
                 if (continuous) {
                     pool.release(idx); // pages free immediately
                 } else {
                     staticDone.push_back(idx); // held to batch end
                 }
             } else {
-                still.push_back(idx);
+                running[kept++] = idx;
             }
         }
-        running.swap(still);
+        running.resize(kept);
         if (!continuous && running.empty()) {
             // The naive baseline returns its worst-case reservation
             // only once the whole batch has drained.

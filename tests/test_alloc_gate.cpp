@@ -1,6 +1,7 @@
 /**
  * @file
- * Allocation gates for the per-event core path and the trace.
+ * Allocation gates for the per-event core path, the trace and the LLM
+ * token loop.
  *
  * Core path: drives NpuCoreSim directly under each of the four
  * policies: two tenants in a closed loop (the paper's BERT +
@@ -15,6 +16,12 @@
  * Trace: epoch merges (Trace::append) must grow a track
  * geometrically, and the Chrome export must allocate per buffer, not
  * per row, so its count does not grow with the event count.
+ *
+ * LLM token loop: one endpoint served end to end under KV page
+ * pressure. Page-list grows and releases, preemption and retiring
+ * completions must not allocate; what is left is set-up and amortized
+ * container growth (the waiting deque's blocks, the latency and TTFT
+ * samples), well under one allocation per thousand generated tokens.
  *
  * This binary replaces the global operator new with a counting one, so
  * it is its own executable.
@@ -32,6 +39,7 @@
 #include "runtime/serving.hh"
 #include "sched/policy.hh"
 #include "sim/event_queue.hh"
+#include "vnpu/allocator.hh"
 
 namespace
 {
@@ -276,6 +284,52 @@ TEST(TraceAllocs, ExportAllocatesPerBufferNotPerRow)
     const std::uint64_t large = exportAllocs(20000);
     EXPECT_LE(small, kMaxExportAllocs);
     EXPECT_EQ(large, small);
+}
+
+// At most one allocation per this many generated tokens.
+constexpr std::uint64_t kTokensPerAlloc = 1000;
+
+TEST(LlmAllocs, TokenLoopDoesNotAllocatePerToken)
+{
+    // llm_preemption.scn's endpoint: a batch-8 HBM reservation (307
+    // pages of 16 tokens) under a 16-sequence running batch, so the
+    // pool oversubscribes and preempts.
+    ServingConfig config;
+    config.mode = ServingMode::LlmContinuous;
+    config.maxCycles = kCyclesInf;
+    config.llm.pageTokens = 16;
+    config.llm.maxBatch = 16;
+    config.llm.promptTokens = 384;
+    config.llm.promptTokensMax = 640;
+    config.llm.outputTokens = 64;
+    config.llm.outputTokensMax = 128;
+    // Arrivals outpace the endpoint; a queue deep enough to admit
+    // them all makes the run serve every one before it drains.
+    TenantSpec ts(ModelId::Llama, 8, 4, 4);
+    ts.llmSeed = 7;
+    ts.maxQueueDepth = 4096;
+    ts.hbmBytes = sizeVnpuForModel(ts.model, ts.batch,
+                                   ts.nMes + ts.nVes, config.core)
+                      .config.memSizePerCore;
+    for (int i = 0; i < 2000; ++i)
+        ts.arrivals.push_back(2e7 * i);
+    config.tenants.push_back(std::move(ts));
+
+    ServingResult result;
+    const std::uint64_t allocs =
+        countAllocs([&] { result = runServing(config); });
+    const LlmEndpointStats &llm = result.tenants[0].llm;
+    std::printf("[alloc gate] LLM token loop: %llu allocations for "
+                "%llu generated tokens (%llu sequences, %llu "
+                "preemptions)\n",
+                static_cast<unsigned long long>(allocs),
+                static_cast<unsigned long long>(llm.tokensGenerated),
+                static_cast<unsigned long long>(
+                    result.tenants[0].completed),
+                static_cast<unsigned long long>(llm.preemptions));
+    EXPECT_GT(llm.preemptions, 0u);
+    EXPECT_GT(llm.tokensGenerated, 100u * kTokensPerAlloc);
+    EXPECT_LE(allocs * kTokensPerAlloc, llm.tokensGenerated);
 }
 
 } // anonymous namespace

@@ -2,7 +2,8 @@
  * @file
  * LLM-subsystem tests (src/llm/): the paged KV pool (allocation,
  * all-or-nothing grow, conservation under preemption-style churn,
- * snapshot/restore, audit), the §III-B pool sizing math, the
+ * snapshot/restore, audit, and a differential run against the
+ * map-of-vectors reference pool), the §III-B pool sizing math, the
  * buildLlama parity digest (the zoo graph must stay digit-identical
  * to the pre-phase-model generation), and end-to-end token-level
  * serving through the fleet: continuous batching must beat the
@@ -13,10 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <vector>
 
 #include "cluster/fleet.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "llm/kv_pool.hh"
 #include "llm/llm_serving.hh"
 #include "llm/phase_model.hh"
@@ -37,7 +42,7 @@ using llm::KvPool;
 
 TEST(KvPool, AllocGrowReleaseRoundTrip)
 {
-    KvPool pool(8, 16);
+    KvPool pool(8, 16, 8);
     EXPECT_EQ(pool.totalPages(), 8u);
     EXPECT_EQ(pool.freePages(), 8u);
     EXPECT_EQ(pool.pagesFor(0), 0u);
@@ -68,36 +73,39 @@ TEST(KvPool, FirstAllocTakesPageZero)
 {
     // The free list is stacked so allocation order is 0, 1, 2, ... —
     // page identity is deterministic, not an artifact of stack setup.
-    KvPool pool(4, 16);
+    KvPool pool(4, 16, 4);
     pool.ensureTokens(1, 16);
     pool.ensureTokens(2, 32);
-    const auto *p1 = pool.pages(1);
-    const auto *p2 = pool.pages(2);
-    ASSERT_NE(p1, nullptr);
-    ASSERT_NE(p2, nullptr);
-    ASSERT_EQ(p1->size(), 1u);
-    ASSERT_EQ(p2->size(), 2u);
-    EXPECT_EQ((*p1)[0], 0u);
-    EXPECT_EQ((*p2)[0], 1u);
-    EXPECT_EQ((*p2)[1], 2u);
-    EXPECT_EQ(pool.pages(99), nullptr);
+    const std::vector<llm::KvPageId> p1 = pool.pages(1);
+    const std::vector<llm::KvPageId> p2 = pool.pages(2);
+    ASSERT_EQ(p1.size(), 1u);
+    ASSERT_EQ(p2.size(), 2u);
+    EXPECT_EQ(p1[0], 0u);
+    EXPECT_EQ(p2[0], 1u);
+    EXPECT_EQ(p2[1], 2u);
+    // Never-used ids, in the table or past it, read as unknown.
+    EXPECT_TRUE(pool.pages(3).empty());
+    EXPECT_TRUE(pool.pages(99).empty());
+    EXPECT_EQ(pool.pagesHeld(99), 0u);
+    EXPECT_EQ(pool.tokensHeld(99), 0u);
+    EXPECT_EQ(pool.release(99), 0u);
 }
 
 TEST(KvPool, LifoReuse)
 {
-    KvPool pool(4, 16);
+    KvPool pool(4, 16, 4);
     pool.ensureTokens(1, 16); // page 0
     pool.ensureTokens(2, 16); // page 1
     pool.release(1);          // page 0 back on top of the stack
     pool.ensureTokens(3, 16);
-    const auto *p3 = pool.pages(3);
-    ASSERT_NE(p3, nullptr);
-    EXPECT_EQ((*p3)[0], 0u); // most recently freed page reused first
+    const std::vector<llm::KvPageId> p3 = pool.pages(3);
+    ASSERT_FALSE(p3.empty());
+    EXPECT_EQ(p3[0], 0u); // most recently freed page reused first
 }
 
 TEST(KvPool, AllOrNothingGrow)
 {
-    KvPool pool(4, 16);
+    KvPool pool(4, 16, 3);
     EXPECT_EQ(pool.ensureTokens(1, 48), 3u);
     // Needs 2 pages with only 1 free: nothing must change.
     EXPECT_EQ(pool.ensureTokens(2, 32), 0u);
@@ -115,7 +123,7 @@ TEST(KvPool, AllOrNothingGrow)
 
 TEST(KvPool, HighWaterAndFragmentation)
 {
-    KvPool pool(8, 16);
+    KvPool pool(8, 16, 2);
     pool.ensureTokens(1, 33); // 3 pages for 33 tokens
     EXPECT_EQ(pool.stats().highWaterPages, 3u);
     // 48 tokens of page capacity hold 33 live tokens.
@@ -131,7 +139,7 @@ TEST(KvPool, ConservationUnderPreemptionChurn)
 {
     // Deterministic admit/grow/preempt churn: pages must be conserved
     // at every step and fully recovered at the end.
-    KvPool pool(13, 16);
+    KvPool pool(13, 16, 200);
     llm::SeqId next = 0;
     std::vector<llm::SeqId> live;
     for (unsigned step = 0; step < 200; ++step) {
@@ -164,9 +172,269 @@ TEST(KvPool, ConservationUnderPreemptionChurn)
     pool.audit();
 }
 
+/**
+ * Reference model for the differential test: the pool as first
+ * written, with each sequence's page list in a vector and the
+ * per-sequence books in ordered maps. It fixes page identity, the
+ * LIFO reuse order and every counter the table-and-chain pool must
+ * reproduce exactly.
+ */
+class RefKvPool
+{
+  public:
+    RefKvPool(std::uint32_t numPages, std::uint32_t pageTokens)
+        : pageTokens_(pageTokens)
+    {
+        stats_.totalPages = numPages;
+        for (std::uint32_t i = numPages; i > 0; --i)
+            freeList_.push_back(i - 1);
+    }
+
+    const llm::KvPoolStats &stats() const { return stats_; }
+    bool lastGrowFailed() const { return lastGrowFailed_; }
+
+    std::uint32_t
+    pagesFor(std::uint64_t tokens) const
+    {
+        return static_cast<std::uint32_t>(
+            (tokens + pageTokens_ - 1) / pageTokens_);
+    }
+
+    std::uint32_t
+    ensureTokens(llm::SeqId seq, std::uint64_t tokens)
+    {
+        lastGrowFailed_ = false;
+        const std::uint32_t want = pagesFor(tokens);
+        const auto it = held_.find(seq);
+        const std::uint32_t have =
+            it == held_.end()
+                ? 0
+                : static_cast<std::uint32_t>(it->second.size());
+        if (want > have) {
+            const std::uint32_t need = want - have;
+            if (need > freeList_.size()) {
+                ++stats_.failedAllocs;
+                lastGrowFailed_ = true;
+                return 0;
+            }
+            auto &list = (it == held_.end()) ? held_[seq] : it->second;
+            for (std::uint32_t i = 0; i < need; ++i) {
+                list.push_back(freeList_.back());
+                freeList_.pop_back();
+            }
+            stats_.usedPages += need;
+            stats_.allocOps += need;
+            stats_.highWaterPages =
+                std::max(stats_.highWaterPages, stats_.usedPages);
+            auto &rec = tokens_[seq];
+            stats_.usedTokens += tokens - rec;
+            rec = tokens;
+            return need;
+        }
+        if (tokens > 0 || it != held_.end()) {
+            auto &rec = tokens_[seq];
+            if (tokens > rec) {
+                stats_.usedTokens += tokens - rec;
+                rec = tokens;
+            }
+        }
+        return 0;
+    }
+
+    std::uint32_t
+    release(llm::SeqId seq)
+    {
+        const auto it = held_.find(seq);
+        if (it == held_.end())
+            return 0;
+        const auto freed = static_cast<std::uint32_t>(it->second.size());
+        for (auto rit = it->second.rbegin(); rit != it->second.rend();
+             ++rit)
+            freeList_.push_back(*rit);
+        held_.erase(it);
+        const auto tit = tokens_.find(seq);
+        if (tit != tokens_.end()) {
+            stats_.usedTokens -= tit->second;
+            tokens_.erase(tit);
+        }
+        stats_.usedPages -= freed;
+        stats_.freeOps += freed;
+        return freed;
+    }
+
+    std::uint64_t
+    tokensHeld(llm::SeqId seq) const
+    {
+        const auto it = tokens_.find(seq);
+        return it == tokens_.end() ? 0 : it->second;
+    }
+
+    std::vector<llm::KvPageId>
+    pages(llm::SeqId seq) const
+    {
+        const auto it = held_.find(seq);
+        return it == held_.end() ? std::vector<llm::KvPageId>{}
+                                 : it->second;
+    }
+
+    std::vector<llm::SeqId>
+    holders() const
+    {
+        std::vector<llm::SeqId> out;
+        for (const auto &[seq, list] : held_)
+            out.push_back(seq);
+        return out;
+    }
+
+  private:
+    std::uint32_t pageTokens_;
+    std::vector<llm::KvPageId> freeList_;
+    std::map<llm::SeqId, std::vector<llm::KvPageId>> held_;
+    std::map<llm::SeqId, std::uint64_t> tokens_;
+    llm::KvPoolStats stats_;
+    bool lastGrowFailed_ = false;
+};
+
+/** Every observable of @p pool equals the reference's, for the
+ * live holders and for @p touched. */
+void
+expectSamePools(const KvPool &pool, const RefKvPool &ref,
+                llm::SeqId touched)
+{
+    ASSERT_EQ(pool.lastGrowFailed(), ref.lastGrowFailed());
+    const llm::KvPoolStats &a = pool.stats();
+    const llm::KvPoolStats &b = ref.stats();
+    ASSERT_EQ(a.totalPages, b.totalPages);
+    ASSERT_EQ(a.usedPages, b.usedPages);
+    ASSERT_EQ(a.highWaterPages, b.highWaterPages);
+    ASSERT_EQ(a.usedTokens, b.usedTokens);
+    ASSERT_EQ(a.allocOps, b.allocOps);
+    ASSERT_EQ(a.freeOps, b.freeOps);
+    ASSERT_EQ(a.failedAllocs, b.failedAllocs);
+    const std::vector<llm::SeqId> holders = pool.holders();
+    ASSERT_EQ(holders, ref.holders());
+    std::vector<llm::SeqId> check = holders;
+    check.push_back(touched);
+    for (const llm::SeqId seq : check) {
+        const std::vector<llm::KvPageId> pages = ref.pages(seq);
+        ASSERT_EQ(pool.pages(seq), pages) << "seq " << seq;
+        ASSERT_EQ(pool.pagesHeld(seq), pages.size()) << "seq " << seq;
+        ASSERT_EQ(pool.tokensHeld(seq), ref.tokensHeld(seq))
+            << "seq " << seq;
+    }
+    pool.audit();
+}
+
+TEST(KvPool, MatchesReferenceUnderChurn)
+{
+    // Seeded scheduler-shaped churn: admissions (fresh ids and
+    // preempted ones re-admitted under the same id), token growth
+    // with youngest-first eviction on refusal, completions, already-
+    // covered grows and releases of ids that hold nothing, on a pool
+    // small enough that grows are refused often.
+    constexpr std::uint32_t kPages = 48;
+    constexpr std::uint32_t kPageTokens = 4;
+    constexpr std::size_t kSeqs = 4096;
+    constexpr unsigned kSteps = 12000;
+    KvPool pool(kPages, kPageTokens, kSeqs);
+    RefKvPool ref(kPages, kPageTokens);
+    Rng rng(0x6b76706f6f6cull);
+
+    std::vector<llm::SeqId> running;              // admission order
+    std::vector<std::pair<llm::SeqId, std::uint64_t>> waiting;
+    llm::SeqId next = 0;
+    std::uint64_t preemptions = 0, readmits = 0;
+
+    // One call on both pools; the return values must agree.
+    const auto grow = [&](llm::SeqId seq, std::uint64_t tokens) {
+        const std::uint32_t got = pool.ensureTokens(seq, tokens);
+        EXPECT_EQ(got, ref.ensureTokens(seq, tokens))
+            << "seq " << seq << " tokens " << tokens;
+        return !pool.lastGrowFailed();
+    };
+    const auto drop = [&](llm::SeqId seq) {
+        const std::uint32_t freed = pool.release(seq);
+        EXPECT_EQ(freed, ref.release(seq)) << "seq " << seq;
+    };
+
+    for (unsigned step = 0; step < kSteps; ++step) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        llm::SeqId touched = kSeqs + 7; // past the table
+        const std::uint64_t op = rng.below(10);
+        if (op < 3) {
+            // Admit: re-admit the head of the preempted queue, or
+            // start a fresh sequence.
+            if (!waiting.empty() &&
+                (rng.below(2) == 0 || next >= kSeqs)) {
+                const auto [seq, tokens] = waiting.front();
+                touched = seq;
+                if (grow(seq, tokens)) {
+                    waiting.erase(waiting.begin());
+                    running.push_back(seq);
+                    ++readmits;
+                }
+            } else if (next < kSeqs) {
+                touched = next;
+                if (grow(next, 1 + rng.below(40)))
+                    running.push_back(next);
+                ++next;
+            }
+        } else if (op < 7 && !running.empty()) {
+            // Decode growth; evict the youngest until it fits.
+            const std::size_t k = rng.below(running.size());
+            const llm::SeqId seq = running[k];
+            touched = seq;
+            const std::uint64_t want =
+                pool.tokensHeld(seq) + 1 + rng.below(8);
+            while (!grow(seq, want) && running.size() > 1) {
+                const llm::SeqId victim = running.back();
+                waiting.insert(waiting.begin(),
+                               {victim, ref.tokensHeld(victim)});
+                drop(victim);
+                running.pop_back();
+                ++preemptions;
+                if (victim == seq)
+                    break;
+            }
+        } else if (op == 7 && !running.empty()) {
+            // Completion of a random running sequence.
+            const std::size_t k = rng.below(running.size());
+            touched = running[k];
+            drop(touched);
+            running.erase(running.begin() +
+                          static_cast<std::ptrdiff_t>(k));
+        } else if (op == 8 && !running.empty()) {
+            // Already covered: equal or fewer tokens move nothing.
+            const llm::SeqId seq = running[rng.below(running.size())];
+            touched = seq;
+            const std::uint64_t held = pool.tokensHeld(seq);
+            const std::uint64_t back =
+                rng.below(std::min<std::uint64_t>(held, 3) + 1);
+            grow(seq, held - back);
+        } else {
+            // Ids that hold nothing: zero-token grows and releases of
+            // never-used, finished or past-the-table ids.
+            touched = rng.below(kSeqs + 16);
+            if (touched < kSeqs && pool.pagesHeld(touched) == 0)
+                grow(touched, 0);
+            if (pool.pagesHeld(touched) == 0)
+                drop(touched);
+        }
+        ASSERT_NO_FATAL_FAILURE(expectSamePools(pool, ref, touched));
+        ASSERT_FALSE(HasFailure());
+    }
+    EXPECT_GT(ref.stats().failedAllocs, 100u);
+    EXPECT_GT(preemptions, 100u);
+    EXPECT_GT(readmits, 100u);
+    for (const llm::SeqId seq : pool.holders())
+        drop(seq);
+    ASSERT_NO_FATAL_FAILURE(expectSamePools(pool, ref, 0));
+    EXPECT_EQ(pool.usedPages(), 0u);
+}
+
 TEST(KvPool, SnapshotRestoreConservesPages)
 {
-    KvPool a(16, 16);
+    KvPool a(16, 16, 10);
     a.ensureTokens(3, 40);
     a.ensureTokens(1, 16);
     a.ensureTokens(9, 100);
@@ -176,7 +444,7 @@ TEST(KvPool, SnapshotRestoreConservesPages)
     EXPECT_EQ(snap.seqTokens[1].first, 3u);
     EXPECT_EQ(snap.seqTokens[2].first, 9u);
 
-    KvPool b(16, 16);
+    KvPool b(16, 16, 10);
     b.restore(snap);
     b.audit();
     EXPECT_EQ(b.usedPages(), a.usedPages());
@@ -192,19 +460,26 @@ TEST(KvPool, SnapshotRestoreConservesPages)
 
 TEST(KvPool, RestoreRefusalsAreFatal)
 {
-    KvPool a(16, 16);
+    KvPool a(16, 16, 2);
     a.ensureTokens(1, 64);
     const KvPool::Snapshot snap = a.snapshot();
 
-    KvPool occupied(16, 16);
+    KvPool occupied(16, 16, 3);
     occupied.ensureTokens(2, 16);
     EXPECT_THROW(occupied.restore(snap), FatalError);
 
-    KvPool small(2, 16); // 4 pages short
+    KvPool small(2, 16, 2); // 4 pages short
     EXPECT_THROW(small.restore(snap), FatalError);
 
-    KvPool wrong_page(16, 32);
+    KvPool wrong_page(16, 32, 2);
     EXPECT_THROW(wrong_page.restore(snap), FatalError);
+
+    // Id 1 is past a one-id holder table, on restore and on grow.
+    KvPool narrow(16, 16, 1);
+    EXPECT_THROW(narrow.restore(snap), FatalError);
+    EXPECT_THROW(narrow.ensureTokens(1, 16), FatalError);
+    EXPECT_EQ(narrow.usedPages(), 0u);
+    narrow.audit();
 }
 
 // ------------------------------------------------- §III-B sizing
