@@ -54,8 +54,9 @@ summarize(const Scenario &s, const FleetResult &r)
     out.kvHighWater = l.kvPageHighWater;
     out.makespan = r.makespan;
     out.tokensPerSec = l.tokensPerSecond;
-    out.ttftP50 = l.ttftCycles.percentile(0.50);
-    out.ttftP99 = l.ttftCycles.percentile(0.99);
+    const auto ttft = l.ttftCycles.percentiles({0.50, 0.99});
+    out.ttftP50 = ttft[0];
+    out.ttftP99 = ttft[1];
     return out;
 }
 

@@ -44,45 +44,38 @@ KvPool::pagesFor(std::uint64_t tokens) const
 }
 
 std::uint32_t
-KvPool::ensureTokens(SeqId seq, std::uint64_t tokens)
+KvPool::grow(SeqId seq, std::uint64_t tokens)
 {
-    lastGrowFailed_ = false;
     if (seq >= holders_.size())
         fatal("KvPool: sequence id %llu is past the holder table "
               "(ids below %zu)",
               static_cast<unsigned long long>(seq), holders_.size());
     Holder &h = holders_[seq];
+    // The inline caller saw tokens > pages x pageTokens, so this
+    // holder needs at least one more page.
     const std::uint32_t want = pagesFor(tokens);
-    if (want > h.pages) {
-        const std::uint32_t need = want - h.pages;
-        if (need > freeList_.size()) {
-            ++stats_.failedAllocs;
-            lastGrowFailed_ = true;
-            return 0;
-        }
-        if (h.pages == 0)
-            ++liveHolders_;
-        for (std::uint32_t i = 0; i < need; ++i) {
-            const KvPageId page = freeList_.back();
-            freeList_.pop_back();
-            link_[page] = h.newest;
-            h.newest = page;
-        }
-        h.pages = want;
-        stats_.usedPages += need;
-        stats_.allocOps += need;
-        stats_.highWaterPages =
-            std::max(stats_.highWaterPages, stats_.usedPages);
-        stats_.usedTokens += tokens - h.tokens;
-        h.tokens = tokens;
-        return need;
+    const std::uint32_t need = want - h.pages;
+    if (need > freeList_.size()) {
+        ++stats_.failedAllocs;
+        lastGrowFailed_ = true;
+        return 0;
     }
-    // Already covered: only the live-token count moves.
-    if (tokens > h.tokens) {
-        stats_.usedTokens += tokens - h.tokens;
-        h.tokens = tokens;
+    if (h.pages == 0)
+        ++liveHolders_;
+    for (std::uint32_t i = 0; i < need; ++i) {
+        const KvPageId page = freeList_.back();
+        freeList_.pop_back();
+        link_[page] = h.newest;
+        h.newest = page;
     }
-    return 0;
+    h.pages = want;
+    stats_.usedPages += need;
+    stats_.allocOps += need;
+    stats_.highWaterPages =
+        std::max(stats_.highWaterPages, stats_.usedPages);
+    stats_.usedTokens += tokens - h.tokens;
+    h.tokens = tokens;
+    return need;
 }
 
 std::uint32_t

@@ -108,11 +108,34 @@ class KvPool
      * live tokens. All-or-nothing: on insufficient free pages
      * nothing changes and failedAllocs increments. Shrinking is not
      * supported — sequences only grow until released.
+     *
+     * The covered case is inline: when @p seq's pages already hold
+     * @p tokens (tokens <= pages x pageTokens), only the live-token
+     * count moves, with no call and no division. This is the token
+     * loop's common case, a new token landing in the newest page.
+     * Growth goes out of line to grow(): the page count, the
+     * free-list pops, the stats, the refused-grow path, and the
+     * fatal() for an id past the holder table.
      * @return pages newly allocated (0 can mean "already covered");
      *         on failure returns 0 and @ref lastGrowFailed is set.
      * @throws FatalError if @p seq is past the holder table.
      */
-    std::uint32_t ensureTokens(SeqId seq, std::uint64_t tokens);
+    std::uint32_t
+    ensureTokens(SeqId seq, std::uint64_t tokens)
+    {
+        lastGrowFailed_ = false;
+        if (seq < holders_.size()) {
+            Holder &h = holders_[seq];
+            if (tokens <= std::uint64_t{h.pages} * pageTokens_) {
+                if (tokens > h.tokens) {
+                    stats_.usedTokens += tokens - h.tokens;
+                    h.tokens = tokens;
+                }
+                return 0;
+            }
+        }
+        return grow(seq, tokens);
+    }
 
     /** True iff the previous ensureTokens() call was refused. */
     bool lastGrowFailed() const { return lastGrowFailed_; }
@@ -178,6 +201,10 @@ class KvPool
         std::uint32_t pages = 0;
         KvPageId newest = kNoPage;
     };
+
+    /** ensureTokens()'s out-of-line path: @p seq is past the table
+     * (fatal) or needs pages beyond those it holds. */
+    std::uint32_t grow(SeqId seq, std::uint64_t tokens);
 
     std::uint32_t pageTokens_;
     std::vector<KvPageId> freeList_; // LIFO: pop_back to allocate

@@ -133,12 +133,12 @@ MetricsRegistry::json(double freqHz) const
         out += csprintf("{\"name\":\"%s\",\"kind\":\"%s\"",
                         m.name.c_str(), kindName(m.kind));
         if (m.kind == MetricKind::Histogram) {
+            const auto [p50, p95, p99] =
+                m.dist.percentiles({0.50, 0.95, 0.99});
             out += csprintf(
                 ",\"count\":%zu,\"mean\":%.9g,\"p50\":%.9g,"
                 "\"p95\":%.9g,\"p99\":%.9g",
-                m.dist.count(), m.dist.mean(),
-                m.dist.percentile(0.50), m.dist.percentile(0.95),
-                m.dist.percentile(0.99));
+                m.dist.count(), m.dist.mean(), p50, p95, p99);
         }
         out += ",\"points\":[";
         const std::vector<TimePoint> &pts = m.series.points();

@@ -310,9 +310,11 @@ emitTenant(Json &j, const TenantResult &t, ScenarioMode mode,
         j.num("lost", t.lostRequests);
         j.num("recovered", t.recoveredRequests);
     }
-    j.num("p50_cycles", t.p50());
-    j.num("p95_cycles", t.p95());
-    j.num("p99_cycles", t.p99());
+    const auto [p50, p95, p99] =
+        t.latencyCycles.percentiles({0.50, 0.95, 0.99});
+    j.num("p50_cycles", p50);
+    j.num("p95_cycles", p95);
+    j.num("p99_cycles", p99);
     j.num("throughput", t.throughput);
     if (mode == ScenarioMode::ClosedLoop) {
         j.num("blocked_frac", t.blockedFrac);
@@ -326,8 +328,10 @@ emitTenant(Json &j, const TenantResult &t, ScenarioMode mode,
         j.num("prefills", l.prefills);
         j.num("decode_iterations", l.decodeIterations);
         j.num("preemptions", l.preemptions);
-        j.num("ttft_p50_cycles", l.ttftCycles.percentile(0.50));
-        j.num("ttft_p99_cycles", l.ttftCycles.percentile(0.99));
+        const auto [ttft_p50, ttft_p99] =
+            l.ttftCycles.percentiles({0.50, 0.99});
+        j.num("ttft_p50_cycles", ttft_p50);
+        j.num("ttft_p99_cycles", ttft_p99);
         j.num("kv_pages", l.kvPages);
         j.num("kv_page_high_water", l.kvPageHighWater);
         j.num("kv_alloc_ops", l.kvAllocOps);
@@ -358,9 +362,11 @@ emitFleet(Json &j, const Scenario &s, const ScenarioOutcome &o)
     j.num("unplaced_tenants", r.unplacedTenants);
     j.num("goodput", r.goodput);
     j.num("rejection_rate", r.rejectionRate());
-    j.num("p50_cycles", r.p50());
-    j.num("p95_cycles", r.p95());
-    j.num("p99_cycles", r.p99());
+    const auto [p50, p95, p99] =
+        r.latencyCycles.percentiles({0.50, 0.95, 0.99});
+    j.num("p50_cycles", p50);
+    j.num("p95_cycles", p95);
+    j.num("p99_cycles", p99);
     j.num("core_eu_util_mean", r.coreEuUtil.mean());
     j.num("core_eu_util_stddev", r.coreEuUtil.stddev());
     j.num("core_me_util_mean", r.coreMeUtil.mean());
@@ -380,8 +386,10 @@ emitFleet(Json &j, const Scenario &s, const ScenarioOutcome &o)
         j.num("prefills", l.prefills);
         j.num("decode_iterations", l.decodeIterations);
         j.num("preemptions", l.preemptions);
-        j.num("ttft_p50_cycles", l.ttftCycles.percentile(0.50));
-        j.num("ttft_p99_cycles", l.ttftCycles.percentile(0.99));
+        const auto [ttft_p50, ttft_p99] =
+            l.ttftCycles.percentiles({0.50, 0.99});
+        j.num("ttft_p50_cycles", ttft_p50);
+        j.num("ttft_p99_cycles", ttft_p99);
         j.num("kv_pages", l.kvPages);
         j.num("kv_page_high_water", l.kvPageHighWater);
         j.num("kv_failed_allocs", l.kvFailedAllocs);

@@ -13,7 +13,6 @@ Distribution::add(double value)
 {
     samples_.push_back(value);
     sum_ += value;
-    dirty_ = true;
 }
 
 double
@@ -29,8 +28,7 @@ Distribution::min() const
 {
     if (samples_.empty())
         return 0.0;
-    ensureSorted();
-    return sorted_.front();
+    return *std::min_element(samples_.begin(), samples_.end());
 }
 
 double
@@ -38,24 +36,57 @@ Distribution::max() const
 {
     if (samples_.empty())
         return 0.0;
-    ensureSorted();
-    return sorted_.back();
+    return *std::max_element(samples_.begin(), samples_.end());
 }
 
 double
 Distribution::percentile(double p) const
 {
-    NEU10_ASSERT(p >= 0.0 && p <= 1.0, "quantile must be in [0,1]");
-    if (samples_.empty())
-        return 0.0;
-    ensureSorted();
-    if (sorted_.size() == 1)
-        return sorted_[0];
-    const double pos = p * static_cast<double>(sorted_.size() - 1);
-    const size_t lo = static_cast<size_t>(pos);
-    const size_t hi = std::min(lo + 1, sorted_.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+    return percentiles({p})[0];
+}
+
+void
+Distribution::selectQuantiles(std::span<const double> ps,
+                              std::span<double> out) const
+{
+    for (size_t i = 0; i < ps.size(); ++i) {
+        NEU10_ASSERT(ps[i] >= 0.0 && ps[i] <= 1.0,
+                     "quantile must be in [0,1]");
+        NEU10_ASSERT(i == 0 || ps[i] >= ps[i - 1],
+                     "quantiles must be non-decreasing");
+    }
+    if (samples_.size() <= 1) {
+        std::fill(out.begin(), out.end(),
+                  samples_.empty() ? 0.0 : samples_[0]);
+        return;
+    }
+    // Ranks [base, n) of the scratch copy hold exactly the order
+    // statistics base..n-1, unordered. Selecting rank lo leaves the
+    // larger ones above it, so the next order statistic is their
+    // minimum, and the next (higher) query partitions only those.
+    std::vector<double> s = samples_;
+    const size_t n = s.size();
+    const auto at = [&s](size_t rank) {
+        return s.begin() + static_cast<std::ptrdiff_t>(rank);
+    };
+    size_t base = 0;
+    size_t lo_rank = n; // no rank selected yet
+    double lo_val = 0.0;
+    double hi_val = 0.0;
+    for (size_t i = 0; i < ps.size(); ++i) {
+        const double pos = ps[i] * static_cast<double>(n - 1);
+        const size_t lo = static_cast<size_t>(pos);
+        const double frac = pos - static_cast<double>(lo);
+        if (lo != lo_rank) {
+            std::nth_element(at(base), at(lo), s.end());
+            lo_val = s[lo];
+            hi_val = lo + 1 < n ? *std::min_element(at(lo + 1), s.end())
+                                : lo_val;
+            lo_rank = lo;
+            base = lo + 1;
+        }
+        out[i] = lo_val * (1.0 - frac) + hi_val * frac;
+    }
 }
 
 double
@@ -73,9 +104,8 @@ Distribution::stddev() const
 void
 Distribution::merge(const Distribution &other)
 {
-    // An empty rhs is a true no-op: in particular it must not mark
-    // the cached sort dirty (fleet aggregation merges hundreds of
-    // empty per-epoch distributions between percentile queries).
+    // An empty rhs is a true no-op (fleet aggregation merges hundreds
+    // of empty per-epoch distributions).
     if (other.samples_.empty())
         return;
     if (&other == this) {
@@ -85,32 +115,18 @@ Distribution::merge(const Distribution &other)
         const std::vector<double> copy = samples_;
         samples_.insert(samples_.end(), copy.begin(), copy.end());
         sum_ += sum_;
-        dirty_ = true;
         return;
     }
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
     sum_ += other.sum_;
-    dirty_ = true;
 }
 
 void
 Distribution::reset()
 {
     samples_.clear();
-    sorted_.clear();
-    dirty_ = false;
     sum_ = 0.0;
-}
-
-void
-Distribution::ensureSorted() const
-{
-    if (dirty_ || sorted_.size() != samples_.size()) {
-        sorted_ = samples_;
-        std::sort(sorted_.begin(), sorted_.end());
-        dirty_ = false;
-    }
 }
 
 } // namespace neu10

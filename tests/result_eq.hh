@@ -124,11 +124,17 @@ expectFleetEq(const FleetResult &a, const FleetResult &b)
         EXPECT_EQ(a.placements[i].core, b.placements[i].core) << i;
         EXPECT_EQ(a.placements[i].nMes, b.placements[i].nMes) << i;
         EXPECT_EQ(a.placements[i].nVes, b.placements[i].nVes) << i;
+        EXPECT_EQ(a.placements[i].hbmBytes, b.placements[i].hbmBytes)
+            << i;
+        EXPECT_EQ(a.placements[i].load, b.placements[i].load) << i;
         EXPECT_EQ(a.placements[i].migrations,
                   b.placements[i].migrations) << i;
     }
     ASSERT_EQ(a.cores.size(), b.cores.size());
     for (size_t c = 0; c < a.cores.size(); ++c) {
+        EXPECT_EQ(a.cores[c].core, b.cores[c].core) << c;
+        EXPECT_EQ(a.cores[c].board, b.cores[c].board) << c;
+        EXPECT_EQ(a.cores[c].tenants, b.cores[c].tenants) << c;
         EXPECT_EQ(a.cores[c].completed, b.cores[c].completed) << c;
         EXPECT_EQ(a.cores[c].makespan, b.cores[c].makespan) << c;
         EXPECT_EQ(a.cores[c].meUsefulUtil, b.cores[c].meUsefulUtil)

@@ -121,6 +121,55 @@ TEST(KvPool, AllOrNothingGrow)
     pool.audit();
 }
 
+TEST(KvPool, CoveredBoundaryIsExact)
+{
+    // ensureTokens() answers the covered case inline by comparing
+    // tokens with pages x pageTokens; growth goes out of line. The
+    // boundary between the two must sit exactly at a full last page.
+    for (std::uint32_t pt : {1u, 7u, 16u}) {
+        SCOPED_TRACE(::testing::Message() << "pageTokens " << pt);
+        KvPool pool(4, pt, 2);
+        ASSERT_EQ(pool.ensureTokens(0, pt + 1), 2u);
+        const std::uint64_t ops = pool.stats().allocOps;
+
+        // Exactly pages x pageTokens tokens is covered: no page, but
+        // the live-token count moves.
+        EXPECT_EQ(pool.ensureTokens(0, 2 * pt), 0u);
+        EXPECT_FALSE(pool.lastGrowFailed());
+        EXPECT_EQ(pool.stats().allocOps, ops);
+        EXPECT_EQ(pool.pagesHeld(0), 2u);
+        EXPECT_EQ(pool.tokensHeld(0), 2u * pt);
+        EXPECT_EQ(pool.stats().usedTokens, 2u * pt);
+
+        // One more token takes exactly one page.
+        EXPECT_EQ(pool.ensureTokens(0, 2 * pt + 1), 1u);
+        EXPECT_EQ(pool.stats().allocOps, ops + 1);
+        EXPECT_EQ(pool.pagesHeld(0), 3u);
+        EXPECT_EQ(pool.stats().usedTokens, 2u * pt + 1);
+
+        // A lower count never shrinks the holder, nor its tokens.
+        EXPECT_EQ(pool.ensureTokens(0, 1), 0u);
+        EXPECT_EQ(pool.ensureTokens(0, 0), 0u);
+        EXPECT_EQ(pool.pagesHeld(0), 3u);
+        EXPECT_EQ(pool.tokensHeld(0), 2u * pt + 1);
+        EXPECT_EQ(pool.stats().usedTokens, 2u * pt + 1);
+
+        // A refused grow is cleared by the next, covered, call.
+        EXPECT_EQ(pool.ensureTokens(1, 2 * pt + 1), 0u);
+        EXPECT_TRUE(pool.lastGrowFailed());
+        EXPECT_EQ(pool.ensureTokens(0, 3 * pt), 0u);
+        EXPECT_FALSE(pool.lastGrowFailed());
+        pool.audit();
+
+        // An id past the table still reaches fatal() through the
+        // inline path, whatever the token count.
+        EXPECT_THROW(pool.ensureTokens(2, 0), FatalError);
+        EXPECT_THROW(pool.ensureTokens(2, 1), FatalError);
+        EXPECT_EQ(pool.usedPages(), 3u);
+        pool.audit();
+    }
+}
+
 TEST(KvPool, HighWaterAndFragmentation)
 {
     KvPool pool(8, 16, 2);

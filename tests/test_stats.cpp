@@ -6,7 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <vector>
+
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "stats/distribution.hh"
 #include "stats/timeseries.hh"
 #include "stats/utilization.hh"
@@ -69,6 +77,8 @@ TEST(Distribution, PercentileRejectsBadQuantile)
 
 TEST(Distribution, AddAfterQueryResorts)
 {
+    // Queries keep no state: each one reads the samples as they are
+    // now, so an add after a query shows in the next min/max.
     Distribution d;
     d.add(10.0);
     EXPECT_DOUBLE_EQ(d.max(), 10.0);
@@ -189,8 +199,8 @@ TEST(Distribution, MergeEmptyRhsKeepsEverything)
 
 TEST(Distribution, MergeInvalidatesSortedCache)
 {
-    // Query first (populating the lazy sorted cache), then merge:
-    // order statistics must reflect the merged samples.
+    // Query first, then merge: nothing left over from the earlier
+    // query may hide the merged samples from the next one.
     Distribution a;
     a.add(5.0);
     EXPECT_DOUBLE_EQ(a.percentile(0.5), 5.0);
@@ -199,6 +209,132 @@ TEST(Distribution, MergeInvalidatesSortedCache)
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.min(), 1.0);
     EXPECT_DOUBLE_EQ(a.percentile(0.5), 3.0);
+}
+
+/**
+ * Sort-and-interpolate, as Distribution answered percentiles before
+ * it selected them: the oracle for selection. Sort a copy, then
+ * interpolate between the order statistics around p * (n - 1).
+ */
+double
+sortedPercentile(std::vector<double> s, double p)
+{
+    if (s.empty())
+        return 0.0;
+    std::sort(s.begin(), s.end());
+    if (s.size() == 1)
+        return s[0];
+    const double pos = p * static_cast<double>(s.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, s.size() - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return s[lo] * (1.0 - frac) + s[hi] * frac;
+}
+
+/** Bitwise double equality: selection must reproduce the oracle's
+ * exact bits, not a nearby value. */
+::testing::AssertionResult
+sameBits(double got, double want)
+{
+    if (std::bit_cast<std::uint64_t>(got) ==
+        std::bit_cast<std::uint64_t>(want))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << got << " != oracle " << want;
+}
+
+/** Every query of @p d against the oracle over @p samples. */
+void
+expectMatchesOracle(const Distribution &d,
+                    const std::vector<double> &samples, Rng &rng)
+{
+    ASSERT_EQ(d.count(), samples.size());
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_TRUE(sameBits(d.min(), sorted.empty() ? 0.0 : sorted.front()));
+    EXPECT_TRUE(sameBits(d.max(), sorted.empty() ? 0.0 : sorted.back()));
+
+    constexpr double kFixed[] = {0.0, 0.5, 0.95, 0.99, 1.0};
+    std::vector<double> ps(std::begin(kFixed), std::end(kFixed));
+    for (int i = 0; i < 8; ++i)
+        ps.push_back(rng.uniform());
+    for (double p : ps)
+        EXPECT_TRUE(sameBits(d.percentile(p), sortedPercentile(samples, p)))
+            << "p = " << p;
+
+    // Batched: the fixed set, then sorted random quantiles with a
+    // repeated one (two queries on the same rank).
+    const auto fixed = d.percentiles(kFixed);
+    for (size_t i = 0; i < fixed.size(); ++i)
+        EXPECT_TRUE(
+            sameBits(fixed[i], sortedPercentile(samples, kFixed[i])))
+            << "batched p = " << kFixed[i];
+    double rp[4] = {rng.uniform(), rng.uniform(), rng.uniform(), 0.0};
+    std::sort(rp, rp + 3);
+    rp[3] = rp[2];
+    const auto random = d.percentiles(rp);
+    for (size_t i = 0; i < random.size(); ++i)
+        EXPECT_TRUE(sameBits(random[i], sortedPercentile(samples, rp[i])))
+            << "batched p = " << rp[i];
+
+    // Queries select on a scratch copy: the samples keep insertion
+    // order.
+    EXPECT_EQ(d.samples(), samples);
+}
+
+TEST(Distribution, SelectionMatchesSortOracle)
+{
+    Rng rng(0x5e1ec7ull);
+    std::vector<std::vector<double>> sets;
+    // Seeded sets of 0..2000 samples: few distinct values (heavy
+    // duplicates) and a continuous spread, at fixed and random sizes.
+    std::vector<size_t> sizes = {0, 1, 2, 3, 5, 64, 101, 1000, 2000};
+    for (int i = 0; i < 6; ++i)
+        sizes.push_back(rng.next() % 2001);
+    for (size_t n : sizes) {
+        std::vector<double> dup, spread;
+        for (size_t i = 0; i < n; ++i) {
+            dup.push_back(std::floor(rng.uniform(0.0, 6.0)) * 1.25);
+            spread.push_back(rng.exponential(1e4));
+        }
+        sets.push_back(dup);
+        sets.push_back(spread);
+    }
+    // All-equal, sorted and reverse-sorted runs.
+    sets.emplace_back(257, 3.5);
+    std::vector<double> ascending;
+    for (int i = 0; i < 777; ++i)
+        ascending.push_back(0.5 * (i / 3));
+    sets.push_back(ascending);
+    sets.emplace_back(ascending.rbegin(), ascending.rend());
+
+    for (size_t k = 0; k < sets.size(); ++k) {
+        SCOPED_TRACE(::testing::Message()
+                     << "set " << k << " (" << sets[k].size()
+                     << " samples)");
+        Distribution d;
+        for (double v : sets[k])
+            d.add(v);
+        expectMatchesOracle(d, sets[k], rng);
+
+        // Merge with the next set; self-merge doubles every sample.
+        const std::vector<double> &next = sets[(k + 1) % sets.size()];
+        Distribution other;
+        for (double v : next)
+            other.add(v);
+        std::vector<double> merged = sets[k];
+        merged.insert(merged.end(), next.begin(), next.end());
+        d.merge(other);
+        expectMatchesOracle(d, merged, rng);
+        std::vector<double> doubled = merged;
+        doubled.insert(doubled.end(), merged.begin(), merged.end());
+        d.merge(d);
+        expectMatchesOracle(d, doubled, rng);
+
+        d.reset();
+        expectMatchesOracle(d, {}, rng);
+        EXPECT_EQ(d.sum(), 0.0);
+    }
 }
 
 TEST(TimeSeries, AverageOfPiecewiseConstant)

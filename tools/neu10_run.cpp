@@ -76,10 +76,11 @@ printOpenLoop(const Scenario &s, const ScenarioOutcome &o)
                 static_cast<unsigned long long>(r.rejected),
                 100.0 * r.rejectionRate(),
                 static_cast<unsigned long long>(r.sloMet));
+    const auto [p50, p95, p99] =
+        r.latencyCycles.percentiles({0.50, 0.95, 0.99});
     std::printf("latency     p50 %.3f  p95 %.3f  p99 %.3f ms   "
                 "goodput %.0f req/s\n",
-                toMs(r.p50()), toMs(r.p95()), toMs(r.p99()),
-                r.goodput);
+                toMs(p50), toMs(p95), toMs(p99), r.goodput);
     std::printf("fleet       EU util %.1f%% (stddev %.3f)  %u "
                 "migrations  makespan %.3f ms\n",
                 100.0 * r.coreEuUtil.mean(), r.coreEuUtil.stddev(),
@@ -87,6 +88,8 @@ printOpenLoop(const Scenario &s, const ScenarioOutcome &o)
     if (s.hasLlm) {
         const LlmEndpointStats l =
             fleetLlmTotals(r, s.board.core.freqHz);
+        const auto [ttft_p50, ttft_p99] =
+            l.ttftCycles.percentiles({0.50, 0.99});
         std::printf("llm         %s scheduler  %llu tokens  %.0f "
                     "tok/s  TTFT p50 %.3f  p99 %.3f ms\n",
                     s.llm.scheduler == LlmScheduler::Continuous
@@ -94,8 +97,7 @@ printOpenLoop(const Scenario &s, const ScenarioOutcome &o)
                         : "static-batch",
                     static_cast<unsigned long long>(l.tokensGenerated),
                     l.tokensPerSecond,
-                    toMs(l.ttftCycles.percentile(0.50)),
-                    toMs(l.ttftCycles.percentile(0.99)));
+                    toMs(ttft_p50), toMs(ttft_p99));
         std::printf("kv pool     %u pages fleet-wide  high water %u  "
                     "%llu preemptions\n",
                     l.kvPages, l.kvPageHighWater,
@@ -124,13 +126,15 @@ printClosedLoop(const Scenario &s, const ScenarioOutcome &o)
                 "%.3f ms  %.0f req/s total\n",
                 100.0 * r.meUsefulUtil, 100.0 * r.veUtil,
                 toMs(r.makespan), r.totalThroughput());
-    for (const TenantResult &t : r.tenants)
+    for (const TenantResult &t : r.tenants) {
+        const auto [p50, p95, p99] =
+            t.latencyCycles.percentiles({0.50, 0.95, 0.99});
         std::printf("tenant      %-14s %4llu done  p50 %8.3f  p95 "
                     "%8.3f  p99 %8.3f ms  %.0f req/s\n",
                     t.model.c_str(),
                     static_cast<unsigned long long>(t.completed),
-                    toMs(t.p50()), toMs(t.p95()), toMs(t.p99()),
-                    t.throughput);
+                    toMs(p50), toMs(p95), toMs(p99), t.throughput);
+    }
 }
 
 int
