@@ -19,6 +19,14 @@ namespace
 {
 
 /**
+ * A migrated vNPU may grow into its destination's idle EUs, which
+ * would otherwise be wasted, up to this many times its paid budget.
+ * The grant is transient: the next migration re-derives the split
+ * from the paid budget.
+ */
+constexpr unsigned kMigrationGrowFactor = 2;
+
+/**
  * Collects the epoch's per-core serving results from pool workers.
  *
  * Workers finish in host-scheduling order, but results are keyed by
@@ -471,30 +479,18 @@ runFleet(const FleetConfig &config)
                 acc.reclaims += tr.reclaims;
                 absorbSamples(acc.latencyCycles, tr.latencyCycles);
                 if (llm_mode) {
-                    // Single-epoch by construction (asserted above),
-                    // so the time-weighted means copy through
-                    // unweighted.
-                    LlmEndpointStats &al = acc.llm;
-                    LlmEndpointStats &el = tr.llm;
-                    al.tokensGenerated += el.tokensGenerated;
-                    al.prefills += el.prefills;
-                    al.decodeIterations += el.decodeIterations;
-                    al.preemptions += el.preemptions;
-                    al.kvPages = el.kvPages;
-                    al.kvPageHighWater = std::max(
-                        al.kvPageHighWater, el.kvPageHighWater);
-                    al.kvAllocOps += el.kvAllocOps;
-                    al.kvFreeOps += el.kvFreeOps;
-                    al.kvFailedAllocs += el.kvFailedAllocs;
-                    al.kvOccupancyMean = el.kvOccupancyMean;
-                    al.kvFragMean = el.kvFragMean;
-                    absorbSamples(al.ttftCycles, el.ttftCycles);
+                    const LlmEndpointStats &el = tr.llm;
                     llm_tokens += el.tokensGenerated;
                     llm_prefills += el.prefills;
                     llm_decode += el.decodeIterations;
                     llm_preempt += el.preemptions;
                     llm_occ_sum += el.kvOccupancyMean;
                     ++llm_endpoints;
+                    // Single-epoch by construction (asserted above):
+                    // this is the tenant's only run, so its stats are
+                    // the tenant's. tokensPerSecond is re-derived
+                    // over the fleet makespan below.
+                    acc.llm = std::move(tr.llm);
                 }
                 blocked_cycles[i] += tr.blockedFrac * measured;
                 core_completed[c] += tr.completed;
@@ -671,52 +667,44 @@ runFleet(const FleetConfig &config)
 
             for (const Migration &mv : moves) {
                 TenantPlacement &pl = result.placements[mv.tenant];
-                if (config.elastic.resizeOnMigrate) {
-                    // Re-run the §III-B split against the
-                    // destination's residency: free engines there
-                    // once this vNPU's committed share is set aside.
-                    // The grant may grow into idle EUs (growFactor);
-                    // when the grown or re-split request no longer
-                    // fits (engines or SRAM), fall back to the paid
-                    // budget and finally to the original split that
-                    // rebalance() already proved feasible.
-                    const PlacementRequest cur = demands[mv.tenant];
-                    placer.release(mv.to, cur);
-                    const CoreCapacity &cap = placer.cores()[mv.to];
-                    const unsigned paid =
-                        config.tenants[mv.tenant].eus;
-                    const unsigned grown = std::max(
-                        paid,
-                        std::min(cap.freeEus(),
-                                 static_cast<unsigned>(
-                                     paid *
-                                     config.elastic.growFactor)));
-                    bool committed = false;
-                    for (unsigned budget : {grown, paid}) {
-                        VnpuSizing updated = sizings[mv.tenant];
-                        if (!resplitForResidency(updated, budget,
-                                                 cap.freeMes,
-                                                 cap.freeVes,
-                                                 core_cfg))
-                            continue;
-                        PlacementRequest resized = cur;
-                        resized.nMes = updated.config.numMesPerCore;
-                        resized.nVes = updated.config.numVesPerCore;
-                        resized.sramBytes =
-                            updated.config.sramSizePerCore;
-                        if (placer.commit(mv.to, resized)) {
-                            sizings[mv.tenant] = updated;
-                            pl.nMes = resized.nMes;
-                            pl.nVes = resized.nVes;
-                            committed = true;
-                            break;
-                        }
+                // Re-run the §III-B split against the destination's
+                // residency: free engines there once this vNPU's
+                // committed share is set aside. The grant may grow
+                // into idle EUs (kMigrationGrowFactor); when the grown
+                // or re-split request no longer fits (engines or
+                // SRAM), fall back to the paid budget and finally to
+                // the original split that rebalance() already proved
+                // feasible.
+                const PlacementRequest cur = demands[mv.tenant];
+                placer.release(mv.to, cur);
+                const CoreCapacity &cap = placer.cores()[mv.to];
+                const unsigned paid = config.tenants[mv.tenant].eus;
+                const unsigned grown =
+                    std::max(paid, std::min(cap.freeEus(),
+                                            paid * kMigrationGrowFactor));
+                bool committed = false;
+                for (unsigned budget : {grown, paid}) {
+                    VnpuSizing updated = sizings[mv.tenant];
+                    if (!resplitForResidency(updated, budget,
+                                             cap.freeMes, cap.freeVes,
+                                             core_cfg))
+                        continue;
+                    PlacementRequest resized = cur;
+                    resized.nMes = updated.config.numMesPerCore;
+                    resized.nVes = updated.config.numVesPerCore;
+                    resized.sramBytes = updated.config.sramSizePerCore;
+                    if (placer.commit(mv.to, resized)) {
+                        sizings[mv.tenant] = updated;
+                        pl.nMes = resized.nMes;
+                        pl.nVes = resized.nVes;
+                        committed = true;
+                        break;
                     }
-                    if (!committed) {
-                        const bool ok = placer.commit(mv.to, cur);
-                        NEU10_ASSERT(ok, "migrated vNPU no longer "
-                                         "fits its destination core");
-                    }
+                }
+                if (!committed) {
+                    const bool ok = placer.commit(mv.to, cur);
+                    NEU10_ASSERT(ok, "migrated vNPU no longer fits its "
+                                     "destination core");
                 }
                 // The move itself is hypercall traffic: the destroy
                 // above freed the MMIO window and IOMMU attachment,

@@ -104,17 +104,6 @@ struct ElasticConfig
      * backlog and early arrivals wait this long before submission,
      * and the wait counts against its latency SLO. */
     Cycles migrationCostCycles = 2e5;
-
-    /** Re-run the §III-B engine split against the destination core's
-     * free engines on every migration (resplitForResidency). */
-    bool resizeOnMigrate = true;
-
-    /** When resizing, let the migrated vNPU grow into the
-     * destination's idle EUs — which would otherwise be wasted — up
-     * to this factor times its paid budget (1.0 = never grow). The
-     * grant is transient: the next migration re-derives the split
-     * from the paid budget again. */
-    double growFactor = 2.0;
 };
 
 /** Fault-injection and failover knobs. */

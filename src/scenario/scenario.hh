@@ -22,7 +22,15 @@
  * defaulted knob records an irreproducible experiment. All
  * diagnostics throw FatalError (user-level problem).
  *
- * Format reference, key vocabulary and examples: docs/SCENARIOS.md.
+ * The key table in scenario.cc is the one list of keys: each row
+ * names a key's section, the loop it serves (open, closed or both)
+ * and the function that reads, range-checks and stores its value.
+ * The parser reads a file in one pass through it, and the "valid
+ * keys" lists, the duplicate-key check and the wrong-loop rejections
+ * all come from its rows. Defaults are the initializers below.
+ *
+ * Format reference and examples: docs/SCENARIOS.md (its key
+ * reference is checked against the table by a test).
  */
 
 #ifndef NEU10_SCENARIO_SCENARIO_HH

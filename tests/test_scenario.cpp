@@ -16,14 +16,24 @@
  * NEU10_TRACE_OUT beat file values) is covered here too — this is
  * the regression net for the bench_util dedupe onto
  * applyEnvOverrides.
+ *
+ * The cases that walk every key (EveryKeyRejectsMalformedValue and
+ * ScenarioDocs.KeyReferenceMatchesParser, which checks the key
+ * reference in docs/SCENARIOS.md) read the key list back from the
+ * parser's own "valid keys" diagnostics, so they name no key by hand.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "scenario/runner.hh"
@@ -55,6 +65,70 @@ expectError(const std::string &text, const std::string &needle)
             << "diagnostic \"" << err.what()
             << "\" does not mention \"" << needle << "\"";
     }
+}
+
+/** The diagnostic a parse of @p text fails with ("" if it parses). */
+std::string
+diagnostic(const std::string &text)
+{
+    try {
+        parseScenario(text, "test.scn");
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    ADD_FAILURE() << "expected FatalError, parsed OK:\n" << text;
+    return "";
+}
+
+/** The comma-separated list that ends @p msg after @p label. */
+std::vector<std::string>
+listAfter(const std::string &msg, const std::string &label)
+{
+    std::vector<std::string> items;
+    const size_t at = msg.find(label);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "\"" << msg << "\" has no \"" << label << "\"";
+        return items;
+    }
+    std::istringstream list(msg.substr(at + label.size()));
+    std::string item;
+    while (std::getline(list, item, ','))
+        items.push_back(item.substr(item.find_first_not_of(' ')));
+    return items;
+}
+
+/** One section of the parser's vocabulary. */
+struct SectionKeys
+{
+    std::string listed;             ///< as listed: "[tenant.<name>]"
+    std::string header;             ///< a usable header: "[tenant.a]"
+    std::vector<std::string> keys;  ///< "valid keys:" order
+};
+
+/** The parser's sections and keys, read back from its own "valid
+ * sections:" and "valid keys:" diagnostics, so the tests that walk
+ * every key name none by hand. */
+std::vector<SectionKeys>
+parserVocabulary()
+{
+    std::vector<SectionKeys> out;
+    for (const std::string &listed :
+         listAfter(diagnostic("[no-such-section]\n"),
+                   "valid sections: ")) {
+        SectionKeys sec;
+        sec.listed = listed;
+        sec.header = listed;
+        const size_t name = sec.header.find("<name>");
+        if (name != std::string::npos)
+            sec.header.replace(name, 6, "a");
+        // "fault (repeatable)": the key is the first word.
+        for (const std::string &item :
+             listAfter(diagnostic(sec.header + "\nno-such-key = 1\n"),
+                       "valid keys: "))
+            sec.keys.push_back(item.substr(0, item.find(' ')));
+        out.push_back(std::move(sec));
+    }
+    return out;
 }
 
 /** A minimal valid open-loop scenario to splice test lines into. */
@@ -165,8 +239,6 @@ TEST(ScenarioParse, FullFleetKnobs)
         "imbalance-threshold = 0.25\n"
         "max-migrations-per-epoch = 2\n"
         "migration-cost = 1e5\n"
-        "resize-on-migrate = off\n"
-        "grow-factor = 1.5\n"
         "[resilience]\n"
         "failover = off\n"
         "recovery-stall = 3e5\n"
@@ -197,8 +269,6 @@ TEST(ScenarioParse, FullFleetKnobs)
     EXPECT_EQ(s.elastic.imbalanceThreshold, 0.25);
     EXPECT_EQ(s.elastic.maxMigrationsPerEpoch, 2u);
     EXPECT_EQ(s.elastic.migrationCostCycles, 1e5);
-    EXPECT_FALSE(s.elastic.resizeOnMigrate);
-    EXPECT_EQ(s.elastic.growFactor, 1.5);
     EXPECT_FALSE(s.failover);
     EXPECT_EQ(s.recoveryStallCycles, 3e5);
     EXPECT_TRUE(s.trace.enabled);
@@ -801,6 +871,11 @@ TEST(ScenarioErrors, OpenLoopRejectsClosedLoopKeys)
                 "[tenant.a]\nmodel = MNIST\neus = 2\nrho = 0.5\n"
                 "mes = 2\n",
                 "test.scn:9: key 'mes' is closed-loop only");
+    for (const std::string key : {"min-requests", "smoke-min-requests"})
+        expectError("[scenario]\nname = t\n[fleet]\nhorizon = 1e6\n" +
+                        key + " = 5\n"
+                        "[tenant.a]\nmodel = MNIST\neus = 2\nrho = 0.5\n",
+                    "test.scn:5: key '" + key + "' is closed-loop only");
 }
 
 TEST(ScenarioErrors, ClosedLoopRejectsOpenLoopSections)
@@ -823,6 +898,12 @@ TEST(ScenarioErrors, ClosedLoopRejectsOpenLoopFleetKeys)
                 "horizon = 1e6\n"
                 "[tenant.a]\nmodel = MNIST\nmes = 2\nves = 2\n",
                 "test.scn:5: key 'horizon' is open-loop only");
+    for (const std::string key : {"threads", "max-cycles-factor",
+                                  "chips-per-board", "cores-per-chip"})
+        expectError("[scenario]\nname = t\n[fleet]\nmode = closed-loop\n" +
+                        key + " = 2\n"
+                        "[tenant.a]\nmodel = MNIST\nmes = 2\nves = 2\n",
+                    "test.scn:5: key '" + key + "' is open-loop only");
 }
 
 TEST(ScenarioErrors, ClosedLoopRejectsOpenLoopTenantKeys)
@@ -830,8 +911,7 @@ TEST(ScenarioErrors, ClosedLoopRejectsOpenLoopTenantKeys)
     expectError("[scenario]\nname = t\n[fleet]\nmode = closed-loop\n"
                 "[tenant.a]\nmodel = MNIST\nmes = 2\nves = 2\n"
                 "rho = 0.5\n",
-                "test.scn:5: [tenant.a]: key 'rho' is open-loop "
-                "only");
+                "test.scn:9: key 'rho' is open-loop only");
 }
 
 TEST(ScenarioErrors, ClosedLoopNeedsEngineSplit)
@@ -840,6 +920,52 @@ TEST(ScenarioErrors, ClosedLoopNeedsEngineSplit)
                 "[tenant.a]\nmodel = MNIST\nmes = 2\n",
                 "test.scn:5: [tenant.a] needs explicit 'mes' and "
                 "'ves'");
+}
+
+TEST(ScenarioErrors, EveryKeyRejectsMalformedValue)
+{
+    // Each key, set to junk as the last line of a minimal valid
+    // file, must fail at that line and quote the junk; the free-text
+    // keys take it.
+    const std::set<std::string> free_text = {"name", "description",
+                                             "out"};
+    const std::vector<std::pair<std::string, std::string>> minimal = {
+        {"[scenario]", "name = t\n"},
+        {"[fleet]", "horizon = 1e6\n"},
+        {"[tenant.a]", "model = MNIST\neus = 2\nrho = 0.5\n"}};
+    unsigned rejected = 0;
+    for (const SectionKeys &sec : parserVocabulary()) {
+        for (const std::string &key : sec.keys) {
+            SCOPED_TRACE(sec.header + " " + key);
+            std::string text;
+            std::string own;
+            for (const auto &[header, body] : minimal) {
+                if (header == sec.header)
+                    own = body;
+                else
+                    text += header + "\n" + body;
+            }
+            text += sec.header + "\n";
+            std::istringstream lines(own);
+            for (std::string line; std::getline(lines, line);)
+                if (line.rfind(key + " =", 0) != 0)
+                    text += line + "\n";
+            text += key + " = @@@\n";
+            if (free_text.count(key) > 0) {
+                EXPECT_NO_THROW(parse(text)) << text;
+                continue;
+            }
+            const auto line = std::count(text.begin(), text.end(), '\n');
+            const std::string msg = diagnostic(text);
+            EXPECT_EQ(msg.rfind("test.scn:" + std::to_string(line) + ": ",
+                                0),
+                      0u)
+                << msg;
+            EXPECT_NE(msg.find("@@@"), std::string::npos) << msg;
+            ++rejected;
+        }
+    }
+    EXPECT_GE(rejected, 50u);
 }
 
 // --------------------------------------------- fault-line negatives
@@ -1135,6 +1261,46 @@ TEST(ScenarioExpand, WrongModeIsAnInternalError)
 }
 
 // ------------------------------------------- committed library
+
+TEST(ScenarioDocs, KeyReferenceMatchesParser)
+{
+    // Each section's Key column in docs/SCENARIOS.md names exactly
+    // the keys the parser accepts there.
+    std::ifstream file(NEU10_SCENARIO_DIR "/../docs/SCENARIOS.md");
+    ASSERT_TRUE(file) << "cannot open docs/SCENARIOS.md";
+    std::vector<std::string> doc;
+    for (std::string line; std::getline(file, line);)
+        doc.push_back(line);
+
+    for (const SectionKeys &sec : parserVocabulary()) {
+        SCOPED_TRACE(sec.listed);
+        const std::string heading = "### `" + sec.listed + "`";
+        auto it = std::find_if(doc.begin(), doc.end(),
+                               [&](const std::string &line) {
+                                   return line.rfind(heading, 0) == 0;
+                               });
+        ASSERT_NE(it, doc.end()) << "no heading " << heading;
+        std::vector<std::string> documented;
+        for (++it; it != doc.end() && it->rfind("## ", 0) != 0 &&
+                   it->rfind("### ", 0) != 0;
+             ++it) {
+            if (it->rfind("| `", 0) != 0)
+                continue;
+            const std::string cell = it->substr(1, it->find('|', 1) - 1);
+            for (size_t open = cell.find('`'); open != std::string::npos;) {
+                const size_t close = cell.find('`', open + 1);
+                ASSERT_NE(close, std::string::npos) << *it;
+                documented.push_back(
+                    cell.substr(open + 1, close - open - 1));
+                open = cell.find('`', close + 1);
+            }
+        }
+        std::vector<std::string> parsed = sec.keys;
+        std::sort(documented.begin(), documented.end());
+        std::sort(parsed.begin(), parsed.end());
+        EXPECT_EQ(documented, parsed);
+    }
+}
 
 TEST(ScenarioLibrary, EveryCommittedScenarioParses)
 {
