@@ -63,7 +63,7 @@ runPair(const Scenario &cell, const WorkloadPair &pair)
         s.corePolicy = kPolicies[p];
         ServingConfig cfg = toServingConfig(s);
         cfg.captureOpTimings = policyUsesNeuIsa(kPolicies[p]);
-        cfg.captureAssignment =
+        cfg.captureSeries =
             kPolicies[p] == PolicyKind::Neu10 && isFig24Pair(pair);
         row.res[p] = runServing(cfg);
     }

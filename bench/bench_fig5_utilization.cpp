@@ -33,6 +33,7 @@ soloUtilization(ModelId id, unsigned batch)
     slots[0].nMes = cfg.numMes;
     slots[0].nVes = cfg.numVes;
     NpuCoreSim core(queue, cfg, makePolicy(PolicyKind::Neu10), slots);
+    core.setCaptureSeries(true);
 
     Cycles finish = 0.0;
     core.submit(0, &prog,
@@ -46,8 +47,8 @@ soloUtilization(ModelId id, unsigned batch)
     std::printf("%-13s b=%-3u request=%9.3f ms  avg ME %.0f%%  avg VE "
                 "%.0f%%\n",
                 modelAbbrev(id).c_str(), batch, bench::toMs(finish),
-                100.0 * core.meUseful().utilization(0.0, finish),
-                100.0 * core.veBusy().utilization(0.0, finish));
+                100.0 * core.meUseful().utilization(finish),
+                100.0 * core.veBusy().utilization(finish));
     std::printf("  ME%% |%s|\n",
                 bench::sparkline(me, cfg.numMes).c_str());
     std::printf("  VE%% |%s|\n",

@@ -30,6 +30,10 @@ struct LogContext
 
 thread_local LogContext t_ctx;
 
+// Open ScopedQuietFatal scopes on this thread; fatal() prints only
+// at zero.
+thread_local unsigned t_quietFatal = 0;
+
 std::string
 vformat(const char *fmt, va_list ap)
 {
@@ -98,6 +102,16 @@ ScopedLogContext::~ScopedLogContext()
     t_ctx = LogContext{};
 }
 
+ScopedQuietFatal::ScopedQuietFatal()
+{
+    ++t_quietFatal;
+}
+
+ScopedQuietFatal::~ScopedQuietFatal()
+{
+    --t_quietFatal;
+}
+
 void
 logContextCycle(double cycle)
 {
@@ -126,7 +140,8 @@ fatal(const char *fmt, ...)
     va_start(ap, fmt);
     std::string msg = vformat(fmt, ap);
     va_end(ap);
-    if (g_level.load(std::memory_order_relaxed) >= LogLevel::Warn)
+    if (t_quietFatal == 0 &&
+        g_level.load(std::memory_order_relaxed) >= LogLevel::Warn)
         emitLine(stderr, "fatal", msg);
     throw FatalError(msg);
 }

@@ -95,6 +95,23 @@ class ScopedLogContext
 };
 
 /**
+ * RAII scope in which fatal() on the calling thread throws its
+ * FatalError without printing it. For a caller that catches the error
+ * and re-raises it with more context (the scenario parser adds
+ * file:line), so the user sees one "fatal:" line, not two. Scopes
+ * nest; the thread prints again when the outermost one ends.
+ */
+class ScopedQuietFatal
+{
+  public:
+    ScopedQuietFatal();
+    ~ScopedQuietFatal();
+
+    ScopedQuietFatal(const ScopedQuietFatal &) = delete;
+    ScopedQuietFatal &operator=(const ScopedQuietFatal &) = delete;
+};
+
+/**
  * Update the simulated-time component of the calling thread's log
  * context (cycles; fractional values are floored for display). A
  * no-op outside a ScopedLogContext scope. Instrumented loops call

@@ -16,11 +16,12 @@ namespace
 /** Largest consumer count ranked in a stack array. */
 constexpr size_t kStackRanks = 16;
 
-/** A consumer's water-filling level: demand / weight. */
+/** A consumer's water-filling level: demand / weight. No member
+ * initializers, so the stack array of ranks is not zeroed per call. */
 struct Rank
 {
-    double key = 0.0;
-    std::uint32_t idx = 0;
+    double key;
+    std::uint32_t idx;
 };
 
 /**
@@ -47,6 +48,11 @@ void
 maxMinAllocate(std::span<const double> demands, double capacity,
                std::span<double> grants, std::span<const double> weights)
 {
+    // Nothing to share: every policy's empty slot or VE pass ends
+    // here, before any check or fill.
+    const size_t n = demands.size();
+    if (n == 0)
+        return;
     // Capacities arrive from chains of grant subtractions, so allow
     // (and flatten) floating-point dust below zero.
     NEU10_ASSERT(capacity >= -1e-6, "negative capacity");
@@ -54,9 +60,8 @@ maxMinAllocate(std::span<const double> demands, double capacity,
                  "weights size mismatch");
     NEU10_ASSERT(grants.size() == demands.size(), "grants size mismatch");
 
-    const size_t n = demands.size();
     std::fill(grants.begin(), grants.end(), 0.0);
-    if (n == 0 || capacity <= 0.0)
+    if (capacity <= 0.0)
         return;
     for (double x : weights)
         NEU10_ASSERT(x >= 0.0, "negative weight");
@@ -66,7 +71,7 @@ maxMinAllocate(std::span<const double> demands, double capacity,
     };
 
     // Rank storage: a stack array, or a heap buffer above its size.
-    std::array<Rank, kStackRanks> stack{};
+    std::array<Rank, kStackRanks> stack;
     std::vector<Rank> heap(n > kStackRanks ? n : 0);
     const std::span<Rank> ranks =
         n > kStackRanks ? std::span<Rank>(heap)

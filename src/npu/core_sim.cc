@@ -317,6 +317,17 @@ NpuCoreSim::preemptVe(UnitRun *u)
     q.insert(q.begin(), u);
 }
 
+void
+NpuCoreSim::setCaptureSeries(bool on)
+{
+    // Each tracker asserts that it has seen no update yet, which
+    // holds until the first event's updateStats.
+    meUseful_.setCaptureSeries(on);
+    meHeld_.setCaptureSeries(on);
+    veBusy_.setCaptureSeries(on);
+    captureSeries_ = on;
+}
+
 unsigned
 NpuCoreSim::budgetUsed(std::uint32_t slot) const
 {
@@ -345,60 +356,54 @@ NpuCoreSim::computeShares()
     // then between each vNPU's units (§III-B fair sharing by default).
     const double bpc = cfg_.hbmBytesPerCycle();
 
-    // Unconstrained rate (ME + VE constraints only).
-    auto base_rate = [](const UnitRun *u) {
-        if (u->penalty > 0.0)
-            return 0.0;
-        double r = 1e18;
-        if (u->kind == UTopKind::Me && u->meTime > 0.0)
-            r = std::min(r, 1.0 / u->meTime);
-        if (u->veTime > 0.0)
-            r = std::min(r, u->veShare / u->veTime);
-        if (r >= 1e18)
-            r = 1.0; // degenerate unit: all streams empty
-        return r;
-    };
-
-    // One pass buckets the traffic-bearing units by slot (preserving
-    // running-set order within each slot, which the per-unit max-min
-    // split below depends on) while summing per-slot demand.
+    // One pass stores each unit's unconstrained rate (ME + VE
+    // constraints only) in its rate, buckets the traffic-bearing
+    // units by slot (preserving running-set order within each slot,
+    // which the per-unit max-min split below depends on) and sums
+    // per-slot demand.
     scratchDemand_.assign(slots_.size(), 0.0);
     if (scratchSlotUnits_.size() != slots_.size())
         scratchSlotUnits_.resize(slots_.size());
     for (auto &bucket : scratchSlotUnits_)
         bucket.clear();
     for (UnitRun *u : running_) {
-        const double d = base_rate(u) * static_cast<double>(u->bytes);
-        scratchDemand_[u->slot] += d;
+        double r = 0.0;
+        if (u->penalty <= 0.0) {
+            r = 1e18;
+            if (u->kind == UTopKind::Me && u->meTime > 0.0)
+                r = std::min(r, 1.0 / u->meTime);
+            if (u->veTime > 0.0)
+                r = std::min(r, u->veShare / u->veTime);
+            if (r >= 1e18)
+                r = 1.0; // degenerate unit: all streams empty
+        }
+        u->rate = r;
+        scratchDemand_[u->slot] += r * static_cast<double>(u->bytes);
         if (u->bytes != 0)
             scratchSlotUnits_[u->slot].push_back(u);
     }
     scratchSlotGrant_.resize(slots_.size());
     maxMinAllocate(scratchDemand_, bpc, scratchSlotGrant_);
 
+    // Per-unit split of each slot's grant, and the HBM cap on the
+    // rate of every unit that moves bytes. Units without traffic
+    // keep their unconstrained rate; a unit paying a penalty has
+    // rate 0, which the cap keeps.
     for (std::uint32_t s = 0; s < slots_.size(); ++s) {
         const auto &mine = scratchSlotUnits_[s];
         scratchUnitDemand_.clear();
-        for (UnitRun *u : mine)
-            scratchUnitDemand_.push_back(base_rate(u) *
+        for (const UnitRun *u : mine)
+            scratchUnitDemand_.push_back(u->rate *
                                          static_cast<double>(u->bytes));
         scratchGrant_.resize(mine.size());
         maxMinAllocate(scratchUnitDemand_, scratchSlotGrant_[s],
                        scratchGrant_);
-        for (size_t i = 0; i < mine.size(); ++i)
-            mine[i]->hbmShare = scratchGrant_[i];
-    }
-
-    // Final per-unit rates.
-    for (UnitRun *u : running_) {
-        if (u->penalty > 0.0) {
-            u->rate = 0.0;
-            continue;
+        for (size_t i = 0; i < mine.size(); ++i) {
+            UnitRun *u = mine[i];
+            u->hbmShare = scratchGrant_[i];
+            u->rate = std::min(
+                u->rate, u->hbmShare / static_cast<double>(u->bytes));
         }
-        double r = base_rate(u);
-        if (u->bytes > 0)
-            r = std::min(r, u->hbmShare / static_cast<double>(u->bytes));
-        u->rate = r;
     }
 }
 
@@ -406,15 +411,19 @@ void
 NpuCoreSim::updateStats(Cycles now)
 {
     double useful = 0.0, held = 0.0, ve = 0.0;
-    scratchOccupancy_.assign(slots_.size(), 0.0);
-    scratchUseful_.assign(slots_.size(), 0.0);
+    // Per-slot sums feed only the captured assignment series.
     std::vector<double> &slot_mes = scratchOccupancy_;
     std::vector<double> &slot_ves = scratchUseful_;
+    if (captureSeries_) {
+        slot_mes.assign(slots_.size(), 0.0);
+        slot_ves.assign(slots_.size(), 0.0);
+    }
 
     for (const UnitRun *u : running_) {
         if (u->kind == UTopKind::Me) {
             held += u->gang;
-            slot_mes[u->slot] += u->gang;
+            if (captureSeries_)
+                slot_mes[u->slot] += u->gang;
             if (u->penalty <= 0.0 && u->meTime > 0.0) {
                 useful += u->gang * u->meEff *
                           std::min(1.0, u->rate * u->meTime);
@@ -423,13 +432,14 @@ NpuCoreSim::updateStats(Cycles now)
         const double ve_rate =
             u->penalty > 0.0 ? 0.0 : u->rate * u->veTime;
         ve += ve_rate;
-        slot_ves[u->slot] += ve_rate;
+        if (captureSeries_)
+            slot_ves[u->slot] += ve_rate;
     }
     meUseful_.setBusy(now, useful);
     meHeld_.setBusy(now, held);
     veBusy_.setBusy(now, ve);
 
-    if (captureAssignment_) {
+    if (captureSeries_) {
         for (std::uint32_t s = 0; s < slots_.size(); ++s) {
             slots_[s].assignedMes.record(now, slot_mes[s]);
             slots_[s].assignedVes.record(now, slot_ves[s]);

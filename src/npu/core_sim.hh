@@ -142,7 +142,7 @@ struct VnpuSlot
     Cycles activeSince = 0.0;
     unsigned reclaimPreemptions = 0;
     std::uint64_t requestsCompleted = 0;
-    TimeSeries assignedMes;           ///< Fig. 24 (optional capture)
+    TimeSeries assignedMes;           ///< Fig. 24 (series capture)
     TimeSeries assignedVes;
 
     /** Ready ME uTOps waiting for an engine. */
@@ -188,8 +188,13 @@ class NpuCoreSim
     /** Record per-operator timings in RequestResult (Fig. 23). */
     void setCaptureOpTimings(bool on) { captureOpTimings_ = on; }
 
-    /** Record per-slot assigned-engine time series (Fig. 24). */
-    void setCaptureAssignment(bool on) { captureAssignment_ = on; }
+    /**
+     * Record the per-event series: each slot's assigned-engine series
+     * (Fig. 24) and the busy-count series of the three utilization
+     * trackers (Fig. 5). Off by default, so the core's memory grows
+     * with its requests, not its events. Set before the first event.
+     */
+    void setCaptureSeries(bool on);
 
     /**
      * Attach a sim-time trace buffer (obs/trace.hh). When
@@ -326,7 +331,7 @@ class NpuCoreSim
     std::uint64_t nextUnitId_ = 1;
     bool inEvent_ = false;
     bool captureOpTimings_ = false;
-    bool captureAssignment_ = false;
+    bool captureSeries_ = false;
 };
 
 } // namespace neu10

@@ -382,7 +382,7 @@ runServing(const ServingConfig &config,
     NpuCoreSim core(queue, config.core, std::move(policy),
                     std::move(slots));
     core.setCaptureOpTimings(config.captureOpTimings);
-    core.setCaptureAssignment(config.captureAssignment);
+    core.setCaptureSeries(config.captureSeries);
 
     ServingResult result;
     if (config.trace.enabled) {
@@ -402,9 +402,9 @@ runServing(const ServingConfig &config,
     const Cycles window = std::max(1.0, stop_time);
     const Clock clock(config.core.freqHz);
     result.makespan = stop_time;
-    result.meUsefulUtil = core.meUseful().utilization(0.0, window);
-    result.meHeldUtil = core.meHeld().utilization(0.0, window);
-    result.veUtil = core.veBusy().utilization(0.0, window);
+    result.meUsefulUtil = core.meUseful().utilization(window);
+    result.meHeldUtil = core.meHeld().utilization(window);
+    result.veUtil = core.veBusy().utilization(window);
     result.avgHbmBytesPerCycle = core.hbmBytesTransferred() / window;
 
     for (size_t i = 0; i < result.tenants.size(); ++i) {
@@ -414,7 +414,7 @@ runServing(const ServingConfig &config,
         tr.goodput = tr.sloMet / clock.toSeconds(window);
         tr.blockedFrac = slot.blockedByHarvest / window;
         tr.reclaims = slot.reclaimPreemptions;
-        if (config.captureAssignment) {
+        if (config.captureSeries) {
             tr.assignedMes = slot.assignedMes;
             tr.assignedVes = slot.assignedVes;
         }

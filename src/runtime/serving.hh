@@ -184,7 +184,10 @@ struct ServingConfig
     LlmParams llm;
 
     bool captureOpTimings = false;
-    bool captureAssignment = false;
+    /** Record the core's per-event series: the engine-assignment
+     * traces below and the utilization trackers' busy counts
+     * (NpuCoreSim::setCaptureSeries). */
+    bool captureSeries = false;
 
     /**
      * Sim-time tracing (obs/trace.hh). Off by default; when enabled,
@@ -254,7 +257,7 @@ struct TenantResult
     /** Per-request operator timings (captureOpTimings). */
     std::vector<std::vector<OpTiming>> opTimings;
 
-    /** Engine-assignment traces (captureAssignment). */
+    /** Engine-assignment traces (captureSeries). */
     TimeSeries assignedMes;
     TimeSeries assignedVes;
 

@@ -105,12 +105,14 @@ struct Field
     }
 
     /** Run a vocabulary parser (policyFromName, ...) on the value and
-     * re-raise its diagnostic with the file:line prefix. */
+     * re-raise its diagnostic with the file:line prefix; the parser's
+     * own fatal() stays quiet, so the user sees that one line. */
     template <typename Fn>
     auto
     parse(Fn &&fn) const -> decltype(fn(value))
     {
         try {
+            const ScopedQuietFatal quiet;
             return fn(value);
         } catch (const FatalError &e) {
             fail(e.what());

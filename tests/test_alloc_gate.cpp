@@ -8,10 +8,10 @@
  * EfficientNet pair), run until every pool and scratch buffer has
  * reached its working size, then counted over a fixed window of
  * events. The event queue, the request and unit pools, the ready
- * queues, max-min allocation and the policies' scratch must not
- * allocate there. The only allocations allowed are the amortized
- * growth of the append-only utilization TimeSeries, a handful per
- * window.
+ * queues, max-min allocation, the policies' scratch and the
+ * utilization trackers (integrated in place; their series are off
+ * unless captured) must not allocate there: the window allows none,
+ * so any per-event store that grows fails the gate.
  *
  * Trace: epoch merges (Trace::append) must grow a track
  * geometrically, and the Chrome export must allocate per buffer, not
@@ -114,7 +114,7 @@ namespace
 
 constexpr std::uint64_t kWarmupEvents = 20000;
 constexpr std::uint64_t kWindowEvents = 20000;
-constexpr std::uint64_t kMaxWindowAllocs = 16;
+constexpr std::uint64_t kMaxWindowAllocs = 0;
 
 /** Allocations made while running @p fn. */
 template <typename Fn>

@@ -12,6 +12,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.hh"
@@ -478,9 +480,9 @@ TEST(Stats, UtilizationTrackersConsistent)
     Harness h(PolicyKind::Neu10);
     h.runOne(0, meModel(4, 10000.0, 20000.0));
     const Cycles end = h.queue.now();
-    const double me_u = h.core->meUseful().utilization(0.0, end);
-    const double me_h = h.core->meHeld().utilization(0.0, end);
-    const double ve_u = h.core->veBusy().utilization(0.0, end);
+    const double me_u = h.core->meUseful().utilization(end);
+    const double me_h = h.core->meHeld().utilization(end);
+    const double ve_u = h.core->veBusy().utilization(end);
     EXPECT_GT(me_u, 0.0);
     EXPECT_LE(me_u, me_h + 1e-9);
     EXPECT_LE(me_h, 1.0 + 1e-9);
@@ -500,7 +502,7 @@ TEST(Stats, HbmBytesAccumulated)
 TEST(Stats, AssignmentSeriesCaptured)
 {
     Harness h(PolicyKind::Neu10);
-    h.core->setCaptureAssignment(true);
+    h.core->setCaptureSeries(true);
     h.runOne(0, meModel(4, 10000.0));
     const auto &series = h.core->slots()[0].assignedMes;
     EXPECT_FALSE(series.empty());
@@ -638,15 +640,23 @@ stableSortMaxMin(const std::vector<double> &demands, double capacity,
 TEST(Bandwidth, MatchesStableSortOracleBitwise)
 {
     // n spans 0..40: ranks in the stack array (n <= 16) and in the
-    // heap buffer above it. Demands mix ties, zeros and the 1e18 sentinel
-    // VE units demand; weights are absent, random with zeros, or the
-    // V10 form (equal demands, priority weights).
+    // heap buffer above it, with a quarter of the cases at n = 1 or 2
+    // (the commonest calls on the core path). Demands mix ties, zeros
+    // and the 1e18 sentinel VE units demand; weights are absent,
+    // random with zeros, or the V10 form (equal demands, priority
+    // weights). Capacities are zero, the exact sum of the demands or
+    // one ulp either side of it, the dust a chain of subtractions
+    // leaves (down to the -1e-6 the callers may pass), or random.
     Rng rng(20241);
     const double ties[] = {0.5, 1.0, 2.0, 3.0};
     const double priorities[] = {0.0, 0.5, 1.0, 1.5, 2.0, 0.7};
-    size_t cases = 0, large = 0;
+    const double dust[] = {-1e-6, -5e-7, -1e-12, -5.551115123125783e-17,
+                           5.551115123125783e-17, 1e-300,
+                           std::numeric_limits<double>::denorm_min()};
+    size_t cases = 0, large = 0, small = 0, summed = 0, dusty = 0;
     for (int iter = 0; iter < 20000; ++iter) {
-        const size_t n = rng.below(41);
+        const size_t n =
+            rng.below(4) == 0 ? 1 + rng.below(2) : rng.below(41);
         const int weighting = static_cast<int>(rng.below(3));
         std::vector<double> demands(n), weights;
         double total = 0.0;
@@ -671,8 +681,37 @@ TEST(Bandwidth, MatchesStableSortOracleBitwise)
             for (size_t i = 0; i < n; ++i)
                 weights.push_back(priorities[rng.below(6)]);
         }
-        const double capacity =
-            rng.below(10) == 0 ? 0.0 : rng.uniform(0.0, 1.5 * total);
+        double capacity = 0.0;
+        switch (rng.below(10)) {
+          case 0: break;
+          case 1: {
+            double sum = 0.0;
+            for (double d : demands)
+                sum += d;
+            const double ulp[] = {-HUGE_VAL, sum, HUGE_VAL};
+            capacity = std::nextafter(sum, ulp[rng.below(3)]);
+            ++summed;
+            break;
+          }
+          case 2: {
+            // Either a listed residue or one left by subtracting
+            // the demands from their sum, clamped to the allowed
+            // floor.
+            if (rng.below(2) == 0 || n == 0) {
+                capacity = dust[rng.below(std::size(dust))];
+            } else {
+                double left = 0.0;
+                for (double d : demands)
+                    left += d;
+                for (double d : demands)
+                    left -= d;
+                capacity = std::max(left, -1e-6);
+            }
+            ++dusty;
+            break;
+          }
+          default: capacity = rng.uniform(0.0, 1.5 * total);
+        }
 
         const std::vector<double> want =
             stableSortMaxMin(demands, capacity, weights);
@@ -687,9 +726,13 @@ TEST(Bandwidth, MatchesStableSortOracleBitwise)
         }
         ++cases;
         large += n > 16 ? 1 : 0;
+        small += n == 1 || n == 2 ? 1 : 0;
     }
     EXPECT_EQ(cases, 20000u);
     EXPECT_GT(large, 5000u);
+    EXPECT_GT(small, 5000u);
+    EXPECT_GT(summed, 1500u);
+    EXPECT_GT(dusty, 1500u);
 }
 
 } // anonymous namespace

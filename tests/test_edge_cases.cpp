@@ -148,8 +148,8 @@ TEST(EdgeCase, PreemptionStormStillConvergesAndConserves)
     queue.runUntil();
     EXPECT_EQ(done, 2);
     const Cycles end = queue.now();
-    EXPECT_LE(core.meHeld().utilization(0.0, end), 1.0 + 1e-9);
-    EXPECT_LE(core.meUseful().utilization(0.0, end), 1.0 + 1e-9);
+    EXPECT_LE(core.meHeld().utilization(end), 1.0 + 1e-9);
+    EXPECT_LE(core.meUseful().utilization(end), 1.0 + 1e-9);
 }
 
 TEST(EdgeCase, ZeroVeWorkModelRuns)

@@ -575,6 +575,32 @@ TEST(ScenarioErrors, UnknownPlacementCarriesFileLine)
     expectError("[fleet]\nplacement = pile-up\n", "pile-up");
 }
 
+TEST(ScenarioErrors, OneFatalLinePerError)
+{
+    // A vocabulary error and a number error print one "fatal:" line
+    // each, the one carrying file:line: the inner parser's fatal()
+    // must not print its bare message first.
+    setLogLevel(LogLevel::Warn);
+    for (const char *text : {"[fleet]\nplacement = pile-up\n",
+                             "[fleet]\nseed = 12abc\n"}) {
+        SCOPED_TRACE(text);
+        testing::internal::CaptureStderr();
+        try {
+            parseScenario(text, "test.scn");
+            ADD_FAILURE() << "expected FatalError, parsed OK";
+        } catch (const FatalError &) {
+        }
+        std::istringstream err(testing::internal::GetCapturedStderr());
+        std::vector<std::string> fatals;
+        for (std::string line; std::getline(err, line);)
+            if (line.rfind("fatal: ", 0) == 0)
+                fatals.push_back(line);
+        ASSERT_EQ(fatals.size(), 1u);
+        EXPECT_EQ(fatals[0].rfind("fatal: test.scn:2: ", 0), 0u)
+            << fatals[0];
+    }
+}
+
 TEST(ScenarioErrors, UnknownModel)
 {
     expectError("[scenario]\nname = t\n[tenant.a]\nmodel = GPT9\n",

@@ -14,6 +14,8 @@
 #include "common/logging.hh"
 #include "result_eq.hh"
 #include "runtime/serving.hh"
+#include "scenario/runner.hh"
+#include "scenario/scenario.hh"
 #include "sched/neu10_policy.hh"
 
 namespace neu10
@@ -173,12 +175,29 @@ TEST(Serving, AssignmentTraceCaptured)
 {
     auto cfg = pairConfig(ModelId::Dlrm, 32, ModelId::RetinaNet, 32,
                           PolicyKind::Neu10, 4);
-    cfg.captureAssignment = true;
+    cfg.captureSeries = true;
     const auto r = runServing(cfg);
     // The ME-heavy tenant harvests beyond its 2 own engines at least
     // once (Fig. 24's dynamic assignment behaviour).
     EXPECT_GT(r.tenants[1].assignedMes.peak(), 2.0);
     EXPECT_LE(r.tenants[1].assignedMes.peak(), 4.0 + 1e-9);
+}
+
+TEST(Serving, SeriesCaptureLeavesResultsUnchanged)
+{
+    // The paper's closed-loop cell under Neu10: recording the
+    // per-event series must not move a single result bit, the
+    // utilizations (integrated in place either way) included.
+    ServingConfig cfg = toServingConfig(loadScenarioFile(
+        NEU10_SCENARIO_DIR "/paper_closed_loop_bert_enet.scn"));
+    ASSERT_EQ(cfg.policy, PolicyKind::Neu10);
+    cfg.captureSeries = false;
+    const auto off = runServing(cfg);
+    cfg.captureSeries = true;
+    const auto on = runServing(cfg);
+    expectServingEq(off, on);
+    EXPECT_TRUE(off.tenants[0].assignedMes.empty());
+    EXPECT_FALSE(on.tenants[0].assignedMes.empty());
 }
 
 TEST(Serving, PriorityWeightsShiftService)

@@ -404,7 +404,7 @@ TEST(Utilization, FullBusyIsOne)
     UtilizationTracker u(4.0);
     u.setBusy(0.0, 4.0);
     u.setBusy(100.0, 0.0);
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 100.0), 1.0);
+    EXPECT_DOUBLE_EQ(u.utilization(100.0), 1.0);
 }
 
 TEST(Utilization, HalfBusyIsHalf)
@@ -412,18 +412,21 @@ TEST(Utilization, HalfBusyIsHalf)
     UtilizationTracker u(4.0);
     u.setBusy(0.0, 2.0);
     u.setBusy(50.0, 2.0);
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 100.0), 0.5);
+    EXPECT_DOUBLE_EQ(u.utilization(100.0), 0.5);
 }
 
 TEST(Utilization, WindowedQuery)
 {
+    // The tracker answers [0, t]; other windows read the captured
+    // series.
     UtilizationTracker u(2.0);
+    u.setCaptureSeries(true);
     u.setBusy(0.0, 0.0);
     u.setBusy(10.0, 2.0);
     u.setBusy(20.0, 0.0);
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 10.0), 0.0);
-    EXPECT_DOUBLE_EQ(u.utilization(10.0, 20.0), 1.0);
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 40.0), 0.25);
+    EXPECT_DOUBLE_EQ(u.series().average(0.0, 10.0) / u.capacity(), 0.0);
+    EXPECT_DOUBLE_EQ(u.series().average(10.0, 20.0) / u.capacity(), 1.0);
+    EXPECT_DOUBLE_EQ(u.utilization(40.0), 0.25);
 }
 
 TEST(Utilization, BusyIntegralExtendsOpenInterval)
@@ -447,6 +450,26 @@ TEST(Utilization, OutOfOrderUpdatePanics)
     UtilizationTracker u(1.0);
     u.setBusy(10.0, 1.0);
     EXPECT_THROW(u.setBusy(5.0, 0.0), PanicError);
+    // A repeated value adds no series point but still moves the
+    // update clock.
+    u.setBusy(20.0, 1.0);
+    EXPECT_THROW(u.setBusy(15.0, 0.0), PanicError);
+    EXPECT_THROW(u.utilization(15.0), PanicError);
+    setLogLevel(LogLevel::Warn);
+}
+
+TEST(Utilization, SeriesOnlyWhenCaptured)
+{
+    setLogLevel(LogLevel::Silent);
+    UtilizationTracker off(1.0);
+    off.setBusy(0.0, 1.0);
+    EXPECT_THROW(off.series(), PanicError);
+    // The flag is fixed once updates have begun.
+    EXPECT_THROW(off.setCaptureSeries(true), PanicError);
+    UtilizationTracker on(1.0);
+    on.setCaptureSeries(true);
+    on.setBusy(0.0, 1.0);
+    EXPECT_EQ(on.series().size(), 1u);
     setLogLevel(LogLevel::Warn);
 }
 
@@ -456,7 +479,54 @@ TEST(Utilization, ResetRestartsIntegration)
     u.setBusy(0.0, 1.0);
     u.setBusy(10.0, 0.0);
     u.reset();
-    EXPECT_DOUBLE_EQ(u.utilization(0.0, 10.0), 0.0);
+    EXPECT_DOUBLE_EQ(u.utilization(10.0), 0.0);
+}
+
+TEST(Utilization, RunningIntegralMatchesSeriesBitwise)
+{
+    // Random busy sequences with repeated values, same-time updates
+    // and clamped negative dust: the running integral must give the
+    // bits the captured series gives over [0, t1], and the same bits
+    // without capture.
+    Rng rng(23);
+    const double values[] = {0.0, 1.0, 2.0, 0.5, 3.75, -1e-10};
+    size_t queries = 0;
+    for (int seq = 0; seq < 200; ++seq) {
+        const double capacity = 1.0 + static_cast<double>(rng.below(8));
+        UtilizationTracker on(capacity);
+        UtilizationTracker off(capacity);
+        on.setCaptureSeries(true);
+        Cycles t = static_cast<double>(rng.below(3)) * rng.uniform();
+        const int updates = 1 + static_cast<int>(rng.below(60));
+        for (int k = 0; k < updates; ++k) {
+            switch (rng.below(4)) {
+              case 0: break; // same-time update
+              case 1: t += rng.exponential(100.0); break;
+              case 2: t += static_cast<double>(rng.below(50)); break;
+              default: t += rng.uniform(0.0, 1e-3); break;
+            }
+            const double busy = rng.below(3) == 0
+                                    ? values[rng.below(6)]
+                                    : rng.uniform(0.0, capacity);
+            on.setBusy(t, busy);
+            off.setBusy(t, busy);
+            const Cycles ends[] = {t, t + rng.exponential(50.0)};
+            for (const Cycles t1 : ends) {
+                const double want =
+                    on.series().average(0.0, t1) / on.capacity();
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(on.utilization(t1)),
+                          std::bit_cast<std::uint64_t>(want))
+                    << "sequence " << seq << " update " << k << " t1 "
+                    << t1;
+                ASSERT_EQ(
+                    std::bit_cast<std::uint64_t>(off.utilization(t1)),
+                    std::bit_cast<std::uint64_t>(want))
+                    << "sequence " << seq << " update " << k;
+                ++queries;
+            }
+        }
+    }
+    EXPECT_GT(queries, 5000u);
 }
 
 } // anonymous namespace
