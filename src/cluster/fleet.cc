@@ -162,10 +162,12 @@ runFleet(const FleetConfig &config)
     std::vector<VnpuSizing> sizings(num_tenants);
     // The load each placed tenant's *current* commit charged on the
     // placer's books: the offered estimate at initial placement, the
-    // observed pressure after a rebalance move, the checkpointed
-    // load after a restore. Load is advisory, but releasing exactly
-    // what was committed keeps a repaired core's books from drifting
-    // for the rest of the run.
+    // observed pressure after a rebalance move (a restore keeps what
+    // the lost core's commit charged). Load is advisory, but
+    // releasing exactly what was committed keeps a repaired core's
+    // books from drifting for the rest of the run. The placer's
+    // engine and memory books always equal sizings[i], so every
+    // request is built from it (placementRequest).
     std::vector<double> committed_load(num_tenants, 0.0);
     for (size_t i = 0; i < num_tenants; ++i) {
         const ClusterTenantSpec &spec = config.tenants[i];
@@ -183,13 +185,8 @@ runFleet(const FleetConfig &config)
                   (sizing.profile.meBusy + sizing.profile.veBusy) /
                   core_cfg.freqHz;
 
-        PlacementRequest req;
-        req.nMes = pl.nMes;
-        req.nVes = pl.nVes;
-        req.hbmBytes = pl.hbmBytes;
-        req.sramBytes = sizing.config.sramSizePerCore;
-        req.load = pl.load;
-        pl.core = placer.place(req, config.placement);
+        pl.core = placer.place(placementRequest(sizing, pl.load),
+                               config.placement);
         committed_load[i] = pl.load;
         if (pl.placed())
             ctl.instant(0.0, "fleet", "place", "tenant", i, "core",
@@ -199,22 +196,6 @@ runFleet(const FleetConfig &config)
         if (!pl.placed())
             ++result.unplacedTenants;
     }
-
-    // One tenant's demand as the placer sees it. Engine/memory
-    // fields mirror the current commit exactly; the advisory load
-    // field is whatever the caller charges (rebalance() internally
-    // releases a mover's *observed* pressure from its source, so
-    // load books drift there by design — see its doc).
-    auto requestFor = [&](size_t i, double load) {
-        const TenantPlacement &pl = result.placements[i];
-        PlacementRequest req;
-        req.nMes = pl.nMes;
-        req.nVes = pl.nVes;
-        req.hbmBytes = pl.hbmBytes;
-        req.sramBytes = sizings[i].config.sramSizePerCore;
-        req.load = load;
-        return req;
-    };
 
     // ---- install every placed vNPU through the hypervisor ---------
     // One hypervisor spans the fleet (to it, the boards are one big
@@ -545,16 +526,15 @@ runFleet(const FleetConfig &config)
             if (residents[c].empty())
                 continue;
             for (size_t i : residents[c]) {
-                placer.release(c, requestFor(i, committed_load[i]));
+                placer.release(
+                    c, placementRequest(sizings[i], committed_load[i]));
                 // Checkpoint the admitted-but-unserved work: the
                 // fault-stopped run's backlog (or, for a core dead
                 // from the epoch's first cycle, the untouched
                 // carry-in), parked in carried[] with stamps
                 // relative to this epoch.
                 pending.push_back(captureCheckpoint(
-                    i, static_cast<TenantId>(i), c, fatal_abs[c],
-                    config.tenants[i].eus, sizings[i], &programs[i],
-                    committed_load[i], carried[i], start));
+                    i, fatal_abs[c], carried[i], start));
                 ctl.instant(epoch_end, "resilience", "checkpoint",
                             "tenant", i, "core", c, "backlog",
                             static_cast<double>(carried[i].size()));
@@ -585,26 +565,29 @@ runFleet(const FleetConfig &config)
             if (config.resilience.failover) {
                 std::vector<VnpuCheckpoint> still;
                 for (VnpuCheckpoint &ckpt : pending) {
-                    RestoreOutcome out = restoreCheckpoint(
-                        ckpt, placer, hv, config.placement, core_cfg);
-                    if (!out.restored()) {
+                    // The lost core's split and load are still the
+                    // tenant's books: land them on a survivor,
+                    // re-split for its residency at the paid budget.
+                    const size_t i = ckpt.tenant;
+                    const CoreId dst = placer.placeResplit(
+                        sizings[i], config.tenants[i].eus,
+                        committed_load[i], config.placement);
+                    if (dst == kInvalidCore) {
                         still.push_back(std::move(ckpt));
                         continue;
                     }
-                    const size_t i = ckpt.tenant;
+                    vnpu_ids[i] = hv.hcCreateVnpu(
+                        static_cast<TenantId>(i), sizings[i].config,
+                        IsolationMode::Hardware, dst);
                     just_restored[i] = true;
                     ctl.instant(now, "resilience", "restore",
-                                "tenant", i, "core", out.core,
-                                "backlog",
+                                "tenant", i, "core", dst, "backlog",
                                 static_cast<double>(
                                     ckpt.backlog.size()));
-                    vnpu_ids[i] = out.vnpu;
-                    sizings[i] = ckpt.sizing;
-                    committed_load[i] = ckpt.load;
                     TenantPlacement &pl = result.placements[i];
-                    pl.core = out.core;
-                    pl.nMes = out.nMes;
-                    pl.nVes = out.nVes;
+                    pl.core = dst;
+                    pl.nMes = sizings[i].config.numMesPerCore;
+                    pl.nVes = sizings[i].config.numVesPerCore;
                     for (Cycles stamp : ckpt.backlog)
                         carried[i].push_back(stamp - now);
                     stall_next[i] =
@@ -645,7 +628,8 @@ runFleet(const FleetConfig &config)
             std::vector<PlacementRequest> demands(num_tenants);
             for (size_t i = 0; i < num_tenants; ++i) {
                 where[i] = result.placements[i].core;
-                demands[i] = requestFor(i, tenant_pressure[i]);
+                demands[i] =
+                    placementRequest(sizings[i], tenant_pressure[i]);
             }
             RebalanceOptions opts;
             opts.imbalanceThreshold =
@@ -667,51 +651,36 @@ runFleet(const FleetConfig &config)
 
             for (const Migration &mv : moves) {
                 TenantPlacement &pl = result.placements[mv.tenant];
+                VnpuSizing &sizing = sizings[mv.tenant];
                 // Re-run the §III-B split against the destination's
                 // residency: free engines there once this vNPU's
                 // committed share is set aside. The grant may grow
                 // into idle EUs (kMigrationGrowFactor); when the grown
                 // or re-split request no longer fits (engines or
                 // SRAM), fall back to the paid budget and finally to
-                // the original split that rebalance() already proved
+                // the current split that rebalance() already proved
                 // feasible.
-                const PlacementRequest cur = demands[mv.tenant];
+                const PlacementRequest &cur = demands[mv.tenant];
                 placer.release(mv.to, cur);
-                const CoreCapacity &cap = placer.cores()[mv.to];
                 const unsigned paid = config.tenants[mv.tenant].eus;
-                const unsigned grown =
-                    std::max(paid, std::min(cap.freeEus(),
-                                            paid * kMigrationGrowFactor));
-                bool committed = false;
-                for (unsigned budget : {grown, paid}) {
-                    VnpuSizing updated = sizings[mv.tenant];
-                    if (!resplitForResidency(updated, budget,
-                                             cap.freeMes, cap.freeVes,
-                                             core_cfg))
-                        continue;
-                    PlacementRequest resized = cur;
-                    resized.nMes = updated.config.numMesPerCore;
-                    resized.nVes = updated.config.numVesPerCore;
-                    resized.sramBytes = updated.config.sramSizePerCore;
-                    if (placer.commit(mv.to, resized)) {
-                        sizings[mv.tenant] = updated;
-                        pl.nMes = resized.nMes;
-                        pl.nVes = resized.nVes;
-                        committed = true;
-                        break;
-                    }
-                }
-                if (!committed) {
-                    const bool ok = placer.commit(mv.to, cur);
-                    NEU10_ASSERT(ok, "migrated vNPU no longer fits its "
-                                     "destination core");
-                }
+                const unsigned grown = std::max(
+                    paid, std::min(placer.cores()[mv.to].freeEus(),
+                                   paid * kMigrationGrowFactor));
+                const bool ok =
+                    placer.commitResplit(mv.to, sizing, grown,
+                                         cur.load) ||
+                    placer.commitResplit(mv.to, sizing, paid,
+                                         cur.load) ||
+                    placer.commit(mv.to, cur);
+                NEU10_ASSERT(ok, "migrated vNPU no longer fits its "
+                                 "destination core");
+                pl.nMes = sizing.config.numMesPerCore;
+                pl.nVes = sizing.config.numVesPerCore;
                 // The move itself is hypercall traffic: the destroy
                 // above freed the MMIO window and IOMMU attachment,
                 // the pinned create on the destination reuses them.
                 vnpu_ids[mv.tenant] = hv.hcCreateVnpu(
-                    static_cast<TenantId>(mv.tenant),
-                    sizings[mv.tenant].config,
+                    static_cast<TenantId>(mv.tenant), sizing.config,
                     IsolationMode::Hardware, mv.to);
                 ctl.instant(epoch_end, "fleet", "migrate", "tenant",
                             mv.tenant, "from", mv.from, "to", mv.to);

@@ -32,7 +32,20 @@ placementFromName(const std::string &name)
           "or load-balanced)", name.c_str());
 }
 
+PlacementRequest
+placementRequest(const VnpuSizing &sizing, double load)
+{
+    PlacementRequest req;
+    req.nMes = sizing.config.numMesPerCore;
+    req.nVes = sizing.config.numVesPerCore;
+    req.hbmBytes = sizing.config.memSizePerCore;
+    req.sramBytes = sizing.config.sramSizePerCore;
+    req.load = load;
+    return req;
+}
+
 FleetPlacer::FleetPlacer(unsigned num_cores, const NpuCoreConfig &core)
+    : core_(core)
 {
     NEU10_ASSERT(num_cores > 0, "fleet needs at least one core");
     CoreCapacity cap;
@@ -101,16 +114,8 @@ FleetPlacer::place(const PlacementRequest &request,
         }
     }
 
-    if (best == kInvalidCore)
-        return kInvalidCore;
-
-    CoreCapacity &c = cores_[best];
-    c.freeMes -= request.nMes;
-    c.freeVes -= request.nVes;
-    c.freeHbm -= request.hbmBytes;
-    c.freeSram -= request.sramBytes;
-    c.load += request.load;
-    ++c.residents;
+    if (best != kInvalidCore)
+        commit(best, request);
     return best;
 }
 
@@ -149,6 +154,48 @@ FleetPlacer::release(CoreId core, const PlacementRequest &request)
     c.freeSram += request.sramBytes;
     c.load -= request.load;
     --c.residents;
+}
+
+bool
+FleetPlacer::commitResplit(CoreId core, VnpuSizing &sizing,
+                           unsigned budget, double load)
+{
+    NEU10_ASSERT(core < cores_.size(), "bad core id %u", core);
+    const CoreCapacity &cap = cores_[core];
+    VnpuSizing updated = sizing;
+    if (!resplitForResidency(updated, budget, cap.freeMes, cap.freeVes,
+                             core_) ||
+        !commit(core, placementRequest(updated, load)))
+        return false;
+    sizing = updated;
+    return true;
+}
+
+CoreId
+FleetPlacer::placeResplit(VnpuSizing &sizing, unsigned budget,
+                          double load, PlacementPolicy policy)
+{
+    const PlacementRequest cur = placementRequest(sizing, load);
+    const CoreId dst = place(cur, policy);
+    if (dst != kInvalidCore) {
+        // Release the just-committed split so the re-split sees the
+        // destination's free engines; place() already proved the
+        // current split fits as the fallback.
+        release(dst, cur);
+        if (!commitResplit(dst, sizing, budget, load)) {
+            const bool ok = commit(dst, cur);
+            NEU10_ASSERT(ok, "restore destination lost capacity");
+        }
+        return dst;
+    }
+    // No core hosts the current split as-is (the lost core's
+    // residency shaped it; survivors may have only the complementary
+    // engines free): re-split against each survivor's residency.
+    for (CoreId c = 0; c < cores_.size(); ++c)
+        if (!cores_[c].quarantined &&
+            commitResplit(c, sizing, budget, load))
+            return c;
+    return kInvalidCore;
 }
 
 std::vector<Migration>

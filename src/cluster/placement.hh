@@ -16,6 +16,12 @@
  *    big tenants, concentrates contention.
  *  - LoadBalanced: feasible core with the least offered load, ties
  *    broken by EU headroom then index. Spreads heat, best tails.
+ *
+ * A vNPU that moves to another core — an elastic migration or a
+ * failover restore — lands through one path here: its §III-B split
+ * is re-run against the destination's free engines
+ * (resplitForResidency) and committed, falling back to the split it
+ * already has (commitResplit, placeResplit).
  */
 
 #ifndef NEU10_CLUSTER_PLACEMENT_HH
@@ -26,6 +32,7 @@
 
 #include "common/types.hh"
 #include "npu/config.hh"
+#include "vnpu/allocator.hh"
 
 namespace neu10
 {
@@ -59,6 +66,10 @@ struct PlacementRequest
      * the last epoch. */
     double load = 0.0;
 };
+
+/** @p sizing's engines and segment-rounded memory as a request
+ * charging @p load. */
+PlacementRequest placementRequest(const VnpuSizing &sizing, double load);
 
 /** One planned vNPU move of the epoch-boundary rebalancer. */
 struct Migration
@@ -141,6 +152,32 @@ class FleetPlacer
     void release(CoreId core, const PlacementRequest &request);
 
     /**
+     * Land a moving vNPU on @p core at a new split: re-run the
+     * §III-B split of @p sizing for @p budget EUs against the core's
+     * free engines and commit it, with the sizing's HBM, charging
+     * @p load.
+     * @return false — changing nothing — when the re-split does not
+     *         fit the core; on success @p sizing holds the committed
+     *         split.
+     */
+    bool commitResplit(CoreId core, VnpuSizing &sizing, unsigned budget,
+                       double load);
+
+    /**
+     * Place a vNPU that lost its core (a failover restore): @p policy
+     * picks a core with room for the current split, which is then
+     * re-split there at @p budget (commitResplit), keeping the
+     * current split when the re-split does not fit. When no core
+     * hosts the current split as-is, the non-quarantined cores are
+     * tried in index order, each re-split against its residency.
+     * @return the core committed on, with @p sizing updated to the
+     *         committed split, or kInvalidCore — changing nothing —
+     *         when no core can host the vNPU.
+     */
+    CoreId placeResplit(VnpuSizing &sizing, unsigned budget,
+                        double load, PlacementPolicy policy);
+
+    /**
      * Epoch-boundary elastic rebalance: given the pressure observed
      * on every core over the last epoch, greedily move the heaviest
      * movable tenant from the hottest core to the coldest core with
@@ -195,6 +232,7 @@ class FleetPlacer
     bool fits(const CoreCapacity &c,
               const PlacementRequest &r) const;
 
+    NpuCoreConfig core_;   ///< shape of every core (re-split input)
     std::vector<CoreCapacity> cores_;
 };
 

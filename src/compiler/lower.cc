@@ -86,16 +86,6 @@ CompiledOp::usesMe() const
 }
 
 Cycles
-CompiledOp::totalMeTime() const
-{
-    Cycles total = 0.0;
-    for (const auto &g : groups)
-        for (const auto &u : g.units)
-            total += u.meTime;
-    return total;
-}
-
-Cycles
 CompiledOp::totalVeTime() const
 {
     Cycles total = 0.0;

@@ -86,9 +86,6 @@ struct CompiledOp
     /** True if any group contains an ME unit. */
     bool usesMe() const;
 
-    /** Aggregate ME occupancy cycles across groups (per held ME). */
-    Cycles totalMeTime() const;
-
     /** Aggregate VE cycles across groups. */
     Cycles totalVeTime() const;
 

@@ -109,9 +109,6 @@ struct NeuIsaProgram
      * once per appearance, since shared snippets re-execute). */
     UTopCost staticCost() const;
 
-    /** Number of groups. */
-    size_t numGroups() const { return table.size(); }
-
     /** Disassembly of the execution table and snippets. */
     std::string toString() const;
 };

@@ -136,36 +136,6 @@ KvPool::holders() const
     return out;
 }
 
-KvPool::Snapshot
-KvPool::snapshot() const
-{
-    Snapshot snap;
-    snap.pageTokens = pageTokens_;
-    snap.seqTokens.reserve(liveHolders_);
-    for (SeqId seq = 0; seq < holders_.size(); ++seq)
-        if (holders_[seq].pages != 0)
-            snap.seqTokens.emplace_back(seq, holders_[seq].tokens);
-    return snap;
-}
-
-void
-KvPool::restore(const Snapshot &snap)
-{
-    if (stats_.usedPages != 0 || liveHolders_ != 0)
-        fatal("KvPool::restore: target pool is not empty "
-              "(%u pages in use)", stats_.usedPages);
-    if (snap.pageTokens != pageTokens_)
-        fatal("KvPool::restore: page size mismatch (%u vs %u tokens)",
-              snap.pageTokens, pageTokens_);
-    for (const auto &[seq, toks] : snap.seqTokens) {
-        ensureTokens(seq, toks);
-        if (lastGrowFailed_)
-            fatal("KvPool::restore: pool of %u pages cannot cover "
-                  "the checkpoint image", stats_.totalPages);
-    }
-    audit();
-}
-
 void
 KvPool::audit() const
 {

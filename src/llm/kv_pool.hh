@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -156,29 +155,6 @@ class KvPool
 
     /** Holders in ascending SeqId order (deterministic iteration). */
     std::vector<SeqId> holders() const;
-
-    /**
-     * Checkpoint image: per-sequence live token counts, ascending
-     * SeqId. Page *identity* is deliberately not part of the image —
-     * a restore lands on a different core whose pool reassigns pages
-     * deterministically; only capacity must be conserved.
-     */
-    struct Snapshot
-    {
-        std::uint32_t pageTokens = 0;
-        std::vector<std::pair<SeqId, std::uint64_t>> seqTokens;
-    };
-
-    Snapshot snapshot() const;
-
-    /**
-     * Rebuild holders from @p snap into this (empty) pool.
-     * @throws FatalError if the pool is not empty, page sizes
-     * differ, an id is past this pool's holder table, or capacity
-     * cannot cover the image (a restore must never silently leak or
-     * oversubscribe).
-     */
-    void restore(const Snapshot &snap);
 
     /**
      * Conservation audit: used + free == total; every page id is in

@@ -25,8 +25,6 @@ struct Seq
     std::uint32_t prompt = 0; ///< prompt tokens
     std::uint32_t output = 0; ///< tokens to decode
     std::uint32_t generated = 0;
-    bool carried = false;     ///< from TenantSpec::backlog (admitted
-                              ///< in an earlier epoch)
     bool sawFirstToken = false;
 };
 
@@ -94,6 +92,10 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
     // Hot-path trace calls branch on this first (obs/trace.hh), so
     // an untraced run skips the calls and their arguments.
     const bool tracing = trace.enabled();
+    // LLM serving is single-epoch (runFleet asserts it), so no epoch
+    // carries admitted work into this run.
+    NEU10_ASSERT(ts.backlog.empty(),
+                 "llm: tenant %u was handed a carried backlog", tenant);
 
     // --- KV pool, carved from the vNPU HBM reservation ------------
     Bytes hbm = ts.hbmBytes;
@@ -104,10 +106,9 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
     }
     const std::uint32_t pages =
         kvPoolPages(spec, hbm, ts.batch, config.llm.pageTokens);
-    // One holder per sequence id: ids index `seqs` (built below,
-    // carried backlog first, then arrivals).
-    KvPool pool(pages, config.llm.pageTokens,
-                ts.backlog.size() + ts.arrivals.size());
+    // One holder per sequence id: ids index `seqs` (built below, one
+    // per arrival).
+    KvPool pool(pages, config.llm.pageTokens, ts.arrivals.size());
     if (pool.pagesFor(static_cast<std::uint64_t>(ep.promptMax) +
                       ep.outputMax) > pages)
         fatal("llm: tenant %u: one sequence can reach %u tokens but "
@@ -117,10 +118,10 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
               tenant, ep.promptMax + ep.outputMax, pages,
               config.llm.pageTokens);
 
-    // --- sequence table: carried backlog first, then arrivals, with
-    // --- lengths drawn in that order from the seeded stream --------
+    // --- sequence table: one per arrival, with lengths drawn in
+    // --- arrival order from the seeded stream ----------------------
     std::vector<Seq> seqs;
-    seqs.reserve(ts.backlog.size() + ts.arrivals.size());
+    seqs.reserve(ts.arrivals.size());
     Rng rng(ts.llmSeed);
     const auto draw = [&](std::uint32_t lo, std::uint32_t hi) {
         if (hi <= lo)
@@ -128,14 +129,6 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         return lo + static_cast<std::uint32_t>(
                         rng.below(hi - lo + 1ull));
     };
-    for (Cycles stamp : ts.backlog) {
-        Seq s;
-        s.stamp = stamp;
-        s.prompt = draw(ep.promptMin, ep.promptMax);
-        s.output = draw(ep.outputMin, ep.outputMax);
-        s.carried = true;
-        seqs.push_back(s);
-    }
     for (Cycles stamp : ts.arrivals) {
         Seq s;
         s.stamp = stamp;
@@ -175,27 +168,20 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
     const auto deliver = [&]() {
         while (next < seqs.size() && seqs[next].stamp <= t) {
             const auto idx = static_cast<std::uint32_t>(next);
-            if (seqs[next].carried) {
-                // Admitted in an earlier epoch: bypasses admission,
-                // counts toward the depth fresh arrivals see.
+            ++tr.submitted;
+            if (waiting.size() + running.size() + staticDone.size() <
+                ts.maxQueueDepth) {
                 waiting.push_back(idx);
+                if (tracing)
+                    trace.instant(std::max(seqs[next].stamp, t),
+                                  "request", "admit", "tenant", ti,
+                                  "seq", idx);
             } else {
-                ++tr.submitted;
-                if (waiting.size() + running.size() +
-                        staticDone.size() <
-                    ts.maxQueueDepth) {
-                    waiting.push_back(idx);
-                    if (tracing)
-                        trace.instant(std::max(seqs[next].stamp, t),
-                                      "request", "admit", "tenant",
-                                      ti, "seq", idx);
-                } else {
-                    ++tr.rejected;
-                    if (tracing)
-                        trace.instant(std::max(seqs[next].stamp, t),
-                                      "request", "reject", "tenant",
-                                      ti, "seq", idx);
-                }
+                ++tr.rejected;
+                if (tracing)
+                    trace.instant(std::max(seqs[next].stamp, t),
+                                  "request", "reject", "tenant", ti,
+                                  "seq", idx);
             }
             ++next;
         }

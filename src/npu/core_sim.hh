@@ -106,13 +106,6 @@ struct UnitRun
     std::uint32_t request = 0;        ///< owning request's table index
     std::uint32_t opIdx = 0;
 
-    /** True when this unit still needs ME binding to progress. */
-    bool
-    needsMe() const
-    {
-        return kind == UTopKind::Me;
-    }
-
     /** VE-cycles per cycle needed to avoid stalling the ME stream. */
     double
     veDemandRate() const

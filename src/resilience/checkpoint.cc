@@ -2,102 +2,22 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace neu10
 {
 
 VnpuCheckpoint
-captureCheckpoint(size_t tenant, TenantId owner, CoreId failed_core,
-                  Cycles fault_at, unsigned paid_eus,
-                  const VnpuSizing &sizing, const CompiledModel *program,
-                  double load, const std::vector<Cycles> &backlog_rel,
+captureCheckpoint(size_t tenant, Cycles fault_at,
+                  const std::vector<Cycles> &backlog_rel,
                   Cycles epoch_start)
 {
     VnpuCheckpoint ckpt;
     ckpt.tenant = tenant;
-    ckpt.owner = owner;
-    ckpt.failedCore = failed_core;
     ckpt.faultAt = fault_at;
-    ckpt.paidEus = paid_eus;
-    ckpt.sizing = sizing;
-    ckpt.program = program;
-    ckpt.load = load;
     ckpt.backlog.reserve(backlog_rel.size());
     for (Cycles stamp : backlog_rel)
         ckpt.backlog.push_back(stamp + epoch_start);
     std::sort(ckpt.backlog.begin(), ckpt.backlog.end());
     return ckpt;
-}
-
-RestoreOutcome
-restoreCheckpoint(VnpuCheckpoint &ckpt, FleetPlacer &placer,
-                  Hypervisor &hv, PlacementPolicy policy,
-                  const NpuCoreConfig &core_cfg)
-{
-    RestoreOutcome out;
-
-    PlacementRequest req;
-    req.nMes = ckpt.sizing.config.numMesPerCore;
-    req.nVes = ckpt.sizing.config.numVesPerCore;
-    req.hbmBytes = ckpt.sizing.config.memSizePerCore;
-    req.sramBytes = ckpt.sizing.config.sramSizePerCore;
-    req.load = ckpt.load;
-
-    // Try to resize the split for core @p c's residency at the paid
-    // budget and commit it there; falls through to false when the
-    // re-split does not fit the core.
-    auto commit_resplit = [&](CoreId c) {
-        const CoreCapacity &cap = placer.cores()[c];
-        VnpuSizing updated = ckpt.sizing;
-        if (!resplitForResidency(updated, ckpt.paidEus, cap.freeMes,
-                                 cap.freeVes, core_cfg))
-            return false;
-        PlacementRequest resized = req;
-        resized.nMes = updated.config.numMesPerCore;
-        resized.nVes = updated.config.numVesPerCore;
-        resized.sramBytes = updated.config.sramSizePerCore;
-        if (!placer.commit(c, resized))
-            return false;
-        ckpt.sizing = updated;
-        req = resized;
-        return true;
-    };
-
-    CoreId dst = placer.place(req, policy);
-    if (dst != kInvalidCore) {
-        // The policy found room for the checkpointed split. Re-run
-        // the §III-B split against the destination's residency at
-        // the paid budget, exactly like an elastic migration:
-        // release the just-committed split so the free engines are
-        // visible, try the re-split, and fall back to the
-        // checkpointed split (which place() already proved feasible)
-        // when it does not fit.
-        placer.release(dst, req);
-        if (!commit_resplit(dst)) {
-            const bool ok = placer.commit(dst, req);
-            NEU10_ASSERT(ok, "restore destination lost capacity");
-        }
-    } else {
-        // No core hosts the checkpointed split as-is (the failed
-        // core's residency shaped it; survivors may have only the
-        // complementary engines free). Scan survivors in index order
-        // and re-split against each residency — restore is allowed
-        // to reshape the vNPU, exactly like a migration.
-        for (CoreId c = 0;
-             c < placer.cores().size() && dst == kInvalidCore; ++c)
-            if (!placer.cores()[c].quarantined && commit_resplit(c))
-                dst = c;
-        if (dst == kInvalidCore)
-            return out;
-    }
-
-    out.core = dst;
-    out.nMes = req.nMes;
-    out.nVes = req.nVes;
-    out.vnpu = hv.hcCreateVnpu(ckpt.owner, ckpt.sizing.config,
-                               IsolationMode::Hardware, dst);
-    return out;
 }
 
 } // namespace neu10

@@ -1,39 +1,37 @@
 /**
  * @file
- * vNPU checkpoint/restore for failover (companion of resilience/faults).
+ * vNPU checkpoint for failover (companion of resilience/faults).
  *
  * When a fatal fault kills a core, the device-side state of every
  * resident vNPU is gone — but the *serving* state that matters for
  * SLO accounting survives on the host: the admitted-but-unserved
  * backlog with its original arrival stamps (runtime/serving reports
- * it at any stop boundary), the shared precompiled program, and the
- * §III-B sizing that says what the tenant paid for. A checkpoint is
- * exactly that host-side bundle; "taking" one costs nothing extra
- * because the open-loop engine already externalizes it at every epoch
+ * it at any stop boundary). A checkpoint is exactly that backlog plus
+ * the fault time; "taking" one costs nothing extra because the
+ * open-loop engine already externalizes the backlog at every epoch
  * boundary — the failover controller just stops the faulted core's
- * epoch at the fault onset instead of the boundary.
+ * epoch at the fault onset instead of the boundary. Everything else a
+ * restore needs (the shared precompiled program, the §III-B sizing,
+ * the paid budget, the committed load) stays in the fleet's own
+ * books; the checkpoint holds only what the fault created.
  *
  * Restore re-enters the normal provisioning path on a surviving
- * core: the placement policy picks a destination with capacity, the
- * engine split is re-run against that core's free engines
- * (resplitForResidency, falling back to the checkpointed split), the
- * capacity is committed on the placer, and the vNPU is re-created
- * through the hypervisor's pinned-create hypercall — the same
- * destroy + pinned-create route elastic migration uses, so MMIO
- * windows and IOMMU attachments recycle identically. The carried
- * backlog then resumes with original arrival stamps: time spent dead
- * counts against latency and the SLO.
+ * core: FleetPlacer::placeResplit picks a destination, re-runs the
+ * engine split against its residency and commits it — the landing
+ * path elastic migration uses too — and the vNPU is re-created
+ * through the hypervisor's pinned-create hypercall, so MMIO windows
+ * and IOMMU attachments recycle identically. The carried backlog
+ * then resumes with original arrival stamps: time spent dead counts
+ * against latency and the SLO.
  */
 
 #ifndef NEU10_RESILIENCE_CHECKPOINT_HH
 #define NEU10_RESILIENCE_CHECKPOINT_HH
 
+#include <cstddef>
 #include <vector>
 
-#include "cluster/placement.hh"
-#include "compiler/lower.hh"
-#include "virt/hypervisor.hh"
-#include "vnpu/allocator.hh"
+#include "common/types.hh"
 
 namespace neu10
 {
@@ -44,34 +42,13 @@ struct VnpuCheckpoint
     /** Caller's tenant index (position in FleetConfig::tenants). */
     size_t tenant = 0;
 
-    /** Hypervisor-facing owner of the re-created vNPU. */
-    TenantId owner = 0;
-
-    CoreId failedCore = kInvalidCore;
-
     /** Absolute fault-onset time (cycles); downtime and MTTR are
      * measured from here. */
     Cycles faultAt = 0.0;
 
-    /** EU budget the tenant pays for — the restore re-split's input,
-     * like any migration re-derives the split from the paid budget. */
-    unsigned paidEus = 0;
-
-    /** Sizing at capture time (split, memory, profile). Restore may
-     * update the split for the destination's residency. */
-    VnpuSizing sizing;
-
     /** Arrival stamps (absolute cycles, sorted non-decreasing) of
      * requests admitted before the fault and not yet served. */
     std::vector<Cycles> backlog;
-
-    /** Shared precompiled binary (non-owning; NeuISA programs are
-     * compiled against the physical core shape, so the restored
-     * engine grant executes the same code, §III-D). */
-    const CompiledModel *program = nullptr;
-
-    /** Offered-load estimate carried to the destination's books. */
-    double load = 0.0;
 };
 
 /**
@@ -82,52 +59,10 @@ struct VnpuCheckpoint
  *                     negative for work carried from earlier epochs).
  * @param epoch_start  absolute start of that epoch, added to every
  *                     stamp so the checkpoint is epoch-independent.
- * Other parameters initialize the corresponding fields verbatim.
  */
-VnpuCheckpoint captureCheckpoint(size_t tenant, TenantId owner,
-                                 CoreId failed_core, Cycles fault_at,
-                                 unsigned paid_eus,
-                                 const VnpuSizing &sizing,
-                                 const CompiledModel *program,
-                                 double load,
+VnpuCheckpoint captureCheckpoint(size_t tenant, Cycles fault_at,
                                  const std::vector<Cycles> &backlog_rel,
                                  Cycles epoch_start);
-
-/** Where (and as what) a checkpoint was restored. */
-struct RestoreOutcome
-{
-    CoreId core = kInvalidCore; ///< destination, kInvalidCore = failed
-    unsigned nMes = 0;          ///< committed engine split
-    unsigned nVes = 0;
-    VnpuId vnpu = kInvalidVnpu; ///< re-created instance
-
-    bool
-    restored() const
-    {
-        return core != kInvalidCore;
-    }
-};
-
-/**
- * Restore @p ckpt on a surviving core.
- *
- * The destination is chosen by @p policy among the placer's
- * non-quarantined cores with capacity for the checkpointed split;
- * the split is then re-run against the destination's free engines at
- * the paid budget (resplitForResidency), falling back to the
- * checkpointed split when the re-split does not fit. On success the
- * capacity is committed, the vNPU is re-created via the pinned-create
- * hypercall, and @p ckpt.sizing reflects the committed split.
- *
- * @return the destination and committed split, or a default-
- *         constructed outcome (core == kInvalidCore) when no core
- *         can host the vNPU — the placer is left unchanged and the
- *         caller retries at a later epoch boundary.
- */
-RestoreOutcome restoreCheckpoint(VnpuCheckpoint &ckpt,
-                                 FleetPlacer &placer, Hypervisor &hv,
-                                 PlacementPolicy policy,
-                                 const NpuCoreConfig &core_cfg);
 
 } // namespace neu10
 

@@ -91,7 +91,8 @@ struct TenantSpec
      * They re-enter the host-side queue immediately and in order,
      * bypass admission (they were admitted once already) but count
      * toward the admission depth seen by fresh arrivals, and keep
-     * their original stamps for latency/SLO accounting.
+     * their original stamps for latency/SLO accounting. LLM serving
+     * is single-epoch and requires it empty.
      */
     std::vector<Cycles> backlog;
 

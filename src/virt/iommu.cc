@@ -104,11 +104,4 @@ Iommu::raiseInterrupt(VnpuId id, std::uint32_t vector) const
         v->second(vector);
 }
 
-size_t
-Iommu::windowCount(VnpuId id) const
-{
-    auto it = devices_.find(id);
-    return it == devices_.end() ? 0 : it->second.windows.size();
-}
-
 } // namespace neu10

@@ -70,9 +70,6 @@ class Iommu
     /** Deliver an interrupt from the device; unbound vectors drop. */
     void raiseInterrupt(VnpuId id, std::uint32_t vector) const;
 
-    /** Number of DMA windows of a device. */
-    size_t windowCount(VnpuId id) const;
-
   private:
     struct Window
     {

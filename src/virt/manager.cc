@@ -15,20 +15,6 @@ PnpuCore::PnpuCore(CoreId cid, const NpuCoreConfig &c)
 {
 }
 
-double
-PnpuCore::euUtilization() const
-{
-    const double total = cfg.numMes + cfg.numVes;
-    return (dedicatedMes + dedicatedVes) / total;
-}
-
-double
-PnpuCore::memUtilization() const
-{
-    const double total = hbm->totalSegments();
-    return (total - hbm->freeSegments()) / total;
-}
-
 VnpuManager::VnpuManager(const NpuBoardConfig &board)
 {
     for (unsigned i = 0; i < board.totalCores(); ++i)

@@ -41,12 +41,6 @@ struct PnpuCore
     std::vector<VnpuId> residents;
 
     explicit PnpuCore(CoreId cid, const NpuCoreConfig &c);
-
-    /** Fraction of engines dedicated (hardware-isolated). */
-    double euUtilization() const;
-
-    /** Fraction of HBM segments allocated. */
-    double memUtilization() const;
 };
 
 /** Engine-oversubscription cap for software-isolated mapping. */

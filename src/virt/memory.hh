@@ -57,7 +57,6 @@ class SegmentPool
 
     unsigned totalSegments() const { return totalSegments_; }
     unsigned freeSegments() const;
-    Bytes segmentSize() const { return segment_; }
 
   private:
     Bytes segment_;

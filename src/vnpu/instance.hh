@@ -55,12 +55,6 @@ struct Vnpu
     std::uint32_t slot = 0;           ///< slot index on the core
     std::vector<unsigned> sramSegments;
     std::vector<unsigned> hbmSegments;
-
-    bool
-    isMapped() const
-    {
-        return state == VnpuState::Mapped || state == VnpuState::Active;
-    }
 };
 
 } // namespace neu10

@@ -1,7 +1,8 @@
 /**
  * @file
  * Exact-equality comparators for fleet and serving results, used by
- * the LLM thread-invariance and determinism tests (test_llm) and the
+ * every determinism and thread-invariance test (test_cluster,
+ * test_resilience, test_llm, test_serving, test_race_stress) and the
  * policy-object tests of runServing (test_serving).
  *
  * "Equal" here is literal: every counter, every stamp, every latency

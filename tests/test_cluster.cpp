@@ -13,6 +13,7 @@
 #include "cluster/placement.hh"
 #include "cluster/traffic.hh"
 #include "common/logging.hh"
+#include "result_eq.hh"
 #include "runtime/serving.hh"
 #include "sim/clock.hh"
 #include "vnpu/allocator.hh"
@@ -608,12 +609,7 @@ TEST(OpenLoop, DeeperQueueTradesRejectionsForLatency)
 TEST(OpenLoop, DeterministicAcrossRuns)
 {
     const auto cfg = openLoopConfig(/*rho=*/0.8, /*depth=*/16);
-    const auto a = runServing(cfg);
-    const auto b = runServing(cfg);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.tenants[0].completed, b.tenants[0].completed);
-    EXPECT_EQ(a.tenants[0].rejected, b.tenants[0].rejected);
-    EXPECT_EQ(a.tenants[0].p99(), b.tenants[0].p99());
+    expectServingEq(runServing(cfg), runServing(cfg));
 }
 
 TEST(OpenLoop, EpochBoundaryStopConservesRequests)
@@ -813,14 +809,7 @@ TEST(Fleet, EndToEndServesAndAccounts)
 TEST(Fleet, DeterministicAcrossRuns)
 {
     const auto cfg = smallFleet(PlacementPolicy::BestFit);
-    const auto a = runFleet(cfg);
-    const auto b = runFleet(cfg);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.p99(), b.p99());
-    for (size_t i = 0; i < a.placements.size(); ++i)
-        EXPECT_EQ(a.placements[i].core, b.placements[i].core);
+    expectFleetEq(runFleet(cfg), runFleet(cfg));
 }
 
 TEST(Fleet, PlacementRespectsCoreCapacity)
@@ -895,31 +884,9 @@ TEST(Fleet, ThreadCountDoesNotChangeResults)
     cfg.threads = 1;
     const auto serial = runFleet(cfg);
     for (unsigned threads : {4u, 8u}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
         cfg.threads = threads;
-        const auto parallel = runFleet(cfg);
-        EXPECT_EQ(serial.completed, parallel.completed);
-        EXPECT_EQ(serial.submitted, parallel.submitted);
-        EXPECT_EQ(serial.rejected, parallel.rejected);
-        EXPECT_EQ(serial.sloMet, parallel.sloMet);
-        EXPECT_EQ(serial.makespan, parallel.makespan);
-        EXPECT_EQ(serial.p50(), parallel.p50());
-        EXPECT_EQ(serial.p99(), parallel.p99());
-        EXPECT_EQ(serial.goodput, parallel.goodput);
-        ASSERT_EQ(serial.tenants.size(), parallel.tenants.size());
-        for (size_t i = 0; i < serial.tenants.size(); ++i) {
-            EXPECT_EQ(serial.tenants[i].completed,
-                      parallel.tenants[i].completed);
-            EXPECT_EQ(serial.tenants[i].p99(),
-                      parallel.tenants[i].p99());
-            EXPECT_EQ(serial.placements[i].core,
-                      parallel.placements[i].core);
-        }
-        for (size_t c = 0; c < serial.cores.size(); ++c) {
-            EXPECT_EQ(serial.cores[c].completed,
-                      parallel.cores[c].completed);
-            EXPECT_EQ(serial.cores[c].euUtil,
-                      parallel.cores[c].euUtil);
-        }
+        expectFleetEq(serial, runFleet(cfg));
     }
 }
 
@@ -985,16 +952,8 @@ TEST(Fleet, ElasticRunIsDeterministicAndThreadInvariant)
     const auto b = runFleet(imbalancedFleet(/*epochs=*/6));
     const auto c =
         runFleet(imbalancedFleet(/*epochs=*/6, /*threads=*/4));
-    for (const auto *r : {&b, &c}) {
-        EXPECT_EQ(a.completed, r->completed);
-        EXPECT_EQ(a.rejected, r->rejected);
-        EXPECT_EQ(a.migrations, r->migrations);
-        EXPECT_EQ(a.p99(), r->p99());
-        for (size_t i = 0; i < a.placements.size(); ++i) {
-            EXPECT_EQ(a.placements[i].core, r->placements[i].core);
-            EXPECT_EQ(a.placements[i].nMes, r->placements[i].nMes);
-        }
-    }
+    expectFleetEq(a, b);
+    expectFleetEq(a, c);
 }
 
 TEST(Fleet, MigrationStallLongerThanEpochConserves)

@@ -2,8 +2,8 @@
  * @file
  * LLM-subsystem tests (src/llm/): the paged KV pool (allocation,
  * all-or-nothing grow, conservation under preemption-style churn,
- * snapshot/restore, audit, and a differential run against the
- * map-of-vectors reference pool), the §III-B pool sizing math, the
+ * audit, and a differential run against the map-of-vectors
+ * reference pool), the §III-B pool sizing math, the
  * buildLlama parity digest (the zoo graph must stay digit-identical
  * to the pre-phase-model generation), and end-to-end token-level
  * serving through the fleet: continuous batching must beat the
@@ -479,56 +479,6 @@ TEST(KvPool, MatchesReferenceUnderChurn)
         drop(seq);
     ASSERT_NO_FATAL_FAILURE(expectSamePools(pool, ref, 0));
     EXPECT_EQ(pool.usedPages(), 0u);
-}
-
-TEST(KvPool, SnapshotRestoreConservesPages)
-{
-    KvPool a(16, 16, 10);
-    a.ensureTokens(3, 40);
-    a.ensureTokens(1, 16);
-    a.ensureTokens(9, 100);
-    const KvPool::Snapshot snap = a.snapshot();
-    ASSERT_EQ(snap.seqTokens.size(), 3u);
-    EXPECT_EQ(snap.seqTokens[0].first, 1u); // ascending SeqId
-    EXPECT_EQ(snap.seqTokens[1].first, 3u);
-    EXPECT_EQ(snap.seqTokens[2].first, 9u);
-
-    KvPool b(16, 16, 10);
-    b.restore(snap);
-    b.audit();
-    EXPECT_EQ(b.usedPages(), a.usedPages());
-    EXPECT_EQ(b.tokensHeld(3), 40u);
-    EXPECT_EQ(b.tokensHeld(9), 100u);
-    EXPECT_EQ(b.pagesHeld(9), 7u);
-    // No double-free: releasing every holder empties the pool exactly.
-    for (llm::SeqId s : b.holders())
-        b.release(s);
-    EXPECT_EQ(b.usedPages(), 0u);
-    b.audit();
-}
-
-TEST(KvPool, RestoreRefusalsAreFatal)
-{
-    KvPool a(16, 16, 2);
-    a.ensureTokens(1, 64);
-    const KvPool::Snapshot snap = a.snapshot();
-
-    KvPool occupied(16, 16, 3);
-    occupied.ensureTokens(2, 16);
-    EXPECT_THROW(occupied.restore(snap), FatalError);
-
-    KvPool small(2, 16, 2); // 4 pages short
-    EXPECT_THROW(small.restore(snap), FatalError);
-
-    KvPool wrong_page(16, 32, 2);
-    EXPECT_THROW(wrong_page.restore(snap), FatalError);
-
-    // Id 1 is past a one-id holder table, on restore and on grow.
-    KvPool narrow(16, 16, 1);
-    EXPECT_THROW(narrow.restore(snap), FatalError);
-    EXPECT_THROW(narrow.ensureTokens(1, 16), FatalError);
-    EXPECT_EQ(narrow.usedPages(), 0u);
-    narrow.audit();
 }
 
 // ------------------------------------------------- §III-B sizing

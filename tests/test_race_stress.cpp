@@ -26,6 +26,7 @@
 #include "common/logging.hh"
 #include "common/threadpool.hh"
 #include "resilience/faults.hh"
+#include "result_eq.hh"
 #include "runtime/serving.hh"
 #include "vnpu/allocator.hh"
 
@@ -209,30 +210,6 @@ stressFleetConfig()
     return cfg;
 }
 
-void
-expectFleetAggregatesEq(const FleetResult &a, const FleetResult &b)
-{
-    EXPECT_EQ(a.submitted, b.submitted);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.sloMet, b.sloMet);
-    EXPECT_EQ(a.migrations, b.migrations);
-    EXPECT_EQ(a.failovers, b.failovers);
-    EXPECT_EQ(a.lostRequests, b.lostRequests);
-    EXPECT_EQ(a.recoveredRequests, b.recoveredRequests);
-    EXPECT_EQ(a.downtimeCycles, b.downtimeCycles);
-    EXPECT_EQ(a.availability, b.availability);
-    EXPECT_EQ(a.mttrCycles, b.mttrCycles);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.latencyCycles.count(), b.latencyCycles.count());
-    EXPECT_EQ(a.latencyCycles.sum(), b.latencyCycles.sum());
-    ASSERT_EQ(a.cores.size(), b.cores.size());
-    for (size_t c = 0; c < a.cores.size(); ++c) {
-        EXPECT_EQ(a.cores[c].completed, b.cores[c].completed) << c;
-        EXPECT_EQ(a.cores[c].downCycles, b.cores[c].downCycles) << c;
-    }
-}
-
 TEST(RaceStress, FaultedElasticFleetBitIdenticalAtMaxWidth)
 {
     FleetConfig cfg = stressFleetConfig();
@@ -240,7 +217,7 @@ TEST(RaceStress, FaultedElasticFleetBitIdenticalAtMaxWidth)
     const FleetResult serial = runFleet(cfg);
     cfg.threads = kWidth;
     const FleetResult wide = runFleet(cfg);
-    expectFleetAggregatesEq(serial, wide);
+    expectFleetEq(serial, wide);
     EXPECT_GT(wide.failovers, 0u);
     EXPECT_EQ(wide.completed + wide.rejected, wide.submitted);
 }
@@ -255,7 +232,7 @@ TEST(RaceStress, FleetThreadsEnvOverrideForcesWidth)
     // pool; results must not move.
     ASSERT_EQ(setenv("NEU10_FLEET_THREADS", "5", 1), 0);
     const FleetResult forced = runFleet(cfg);
-    expectFleetAggregatesEq(baseline, forced);
+    expectFleetEq(baseline, forced);
 
     // Hardened env parsing applies to the override too.
     ASSERT_EQ(setenv("NEU10_FLEET_THREADS", "many", 1), 0);

@@ -2,12 +2,12 @@
  * @file
  * Resilience-subsystem tests: fault-trace generation (determinism,
  * rates, sorting), the FaultTimeline fold (board loss, repair,
- * interval merging, transient filtering), vNPU checkpoint capture
- * and restore (re-split against the destination residency, capacity
- * bookkeeping), placer quarantine, and end-to-end failover-aware
- * fleet serving: a board loss under failover must conserve requests,
- * recover the checkpointed work, and beat the no-failover baseline,
- * all bit-deterministically.
+ * interval merging, transient filtering), vNPU checkpoint capture,
+ * the placer's restore landing path (re-split against the
+ * destination residency, capacity bookkeeping), placer quarantine,
+ * and end-to-end failover-aware fleet serving: a board loss under
+ * failover must conserve requests, recover the checkpointed work,
+ * and beat the no-failover baseline, all bit-deterministically.
  */
 
 #include <algorithm>
@@ -17,8 +17,8 @@
 #include "common/logging.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/faults.hh"
+#include "result_eq.hh"
 #include "sim/clock.hh"
-#include "virt/hypervisor.hh"
 #include "vnpu/allocator.hh"
 
 namespace neu10
@@ -248,13 +248,9 @@ TEST(Timeline, RejectsOutOfTopologyEvents)
 
 TEST(Checkpoint, CaptureRestampsAndSorts)
 {
-    const VnpuSizing sizing =
-        sizeVnpuForModel(ModelId::Mnist, 8, 4, NpuCoreConfig{});
     const std::vector<Cycles> rel = {1e5, -2e4, 3e5};
     const VnpuCheckpoint ckpt = captureCheckpoint(
-        /*tenant=*/3, /*owner=*/3, /*failed_core=*/1,
-        /*fault_at=*/4e6, /*paid_eus=*/4, sizing, nullptr,
-        /*load=*/0.4, rel, /*epoch_start=*/2e6);
+        /*tenant=*/3, /*fault_at=*/4e6, rel, /*epoch_start=*/2e6);
     EXPECT_EQ(ckpt.tenant, 3u);
     EXPECT_DOUBLE_EQ(ckpt.faultAt, 4e6);
     ASSERT_EQ(ckpt.backlog.size(), 3u);
@@ -268,31 +264,27 @@ TEST(Checkpoint, RestorePlacesOnSurvivingCore)
 {
     const NpuCoreConfig core_cfg;
     FleetPlacer placer(2, core_cfg);
-    Hypervisor hv(NpuBoardConfig{});
     placer.setQuarantined(0, true);
 
-    VnpuCheckpoint ckpt = captureCheckpoint(
-        0, 0, 0, 1e6, 4,
-        sizeVnpuForModel(ModelId::Mnist, 8, 4, core_cfg), nullptr,
-        0.3, {0.0}, 0.0);
-    const RestoreOutcome out = restoreCheckpoint(
-        ckpt, placer, hv, PlacementPolicy::FirstFit, core_cfg);
-    ASSERT_TRUE(out.restored());
-    EXPECT_EQ(out.core, 1u); // core 0 is quarantined
-    EXPECT_EQ(out.nMes + out.nVes, 4u);
+    VnpuSizing sizing =
+        sizeVnpuForModel(ModelId::Mnist, 8, 4, core_cfg);
+    const CoreId dst = placer.placeResplit(
+        sizing, 4, 0.3, PlacementPolicy::FirstFit);
+    EXPECT_EQ(dst, 1u); // core 0 is quarantined
+    EXPECT_EQ(sizing.config.numMesPerCore +
+                  sizing.config.numVesPerCore,
+              4u);
     EXPECT_EQ(placer.cores()[1].residents, 1u);
     EXPECT_EQ(placer.cores()[1].freeEus(), 4u);
-    EXPECT_NE(out.vnpu, kInvalidVnpu);
-    EXPECT_EQ(hv.manager().get(out.vnpu).core, 1u);
+    EXPECT_DOUBLE_EQ(placer.cores()[1].load, 0.3);
 }
 
 TEST(Checkpoint, RestoreResplitsForDestinationResidency)
 {
     const NpuCoreConfig core_cfg; // 4 ME + 4 VE
     FleetPlacer placer(1, core_cfg);
-    Hypervisor hv(NpuBoardConfig{});
     // Pre-load the only core with a 3ME+1VE resident: whatever the
-    // checkpointed split was, the restore must fit (<=1 ME, <=3 VE)
+    // lost core's split was, the restore must fit (<=1 ME, <=3 VE)
     // while keeping the paid 4 EUs.
     PlacementRequest res;
     res.nMes = 3;
@@ -300,43 +292,39 @@ TEST(Checkpoint, RestoreResplitsForDestinationResidency)
     res.hbmBytes = 1_GiB;
     ASSERT_TRUE(placer.commit(0, res));
 
-    VnpuCheckpoint ckpt = captureCheckpoint(
-        0, 0, 5, 1e6, 4,
-        sizeVnpuForModel(ModelId::Mnist, 8, 4, core_cfg), nullptr,
-        0.3, {}, 0.0);
-    const RestoreOutcome out = restoreCheckpoint(
-        ckpt, placer, hv, PlacementPolicy::FirstFit, core_cfg);
-    ASSERT_TRUE(out.restored());
-    EXPECT_EQ(out.nMes, 1u);
-    EXPECT_EQ(out.nVes, 3u);
-    EXPECT_EQ(ckpt.sizing.config.numMesPerCore, 1u);
+    VnpuSizing sizing =
+        sizeVnpuForModel(ModelId::Mnist, 8, 4, core_cfg);
+    const CoreId dst = placer.placeResplit(
+        sizing, 4, 0.3, PlacementPolicy::FirstFit);
+    EXPECT_EQ(dst, 0u);
+    EXPECT_EQ(sizing.config.numMesPerCore, 1u);
+    EXPECT_EQ(sizing.config.numVesPerCore, 3u);
     EXPECT_EQ(placer.cores()[0].freeEus(), 0u);
+    EXPECT_EQ(placer.cores()[0].residents, 2u);
 }
 
 TEST(Checkpoint, RestoreFailsCleanlyWithoutCapacity)
 {
     const NpuCoreConfig core_cfg;
     FleetPlacer placer(2, core_cfg);
-    Hypervisor hv(NpuBoardConfig{});
     placer.setQuarantined(0, true);
     placer.setQuarantined(1, true);
 
-    VnpuCheckpoint ckpt = captureCheckpoint(
-        0, 0, 0, 1e6, 4,
-        sizeVnpuForModel(ModelId::Mnist, 8, 4, core_cfg), nullptr,
-        0.3, {0.0, 1.0}, 0.0);
-    const VnpuCheckpoint before = ckpt;
-    const RestoreOutcome out = restoreCheckpoint(
-        ckpt, placer, hv, PlacementPolicy::LoadBalanced, core_cfg);
-    EXPECT_FALSE(out.restored());
-    EXPECT_EQ(out.vnpu, kInvalidVnpu);
-    // Nothing committed, nothing created, checkpoint intact.
+    VnpuSizing sizing =
+        sizeVnpuForModel(ModelId::Mnist, 8, 4, core_cfg);
+    const VnpuSizing before = sizing;
+    EXPECT_EQ(placer.placeResplit(sizing, 4, 0.3,
+                                  PlacementPolicy::LoadBalanced),
+              kInvalidCore);
+    // Nothing committed, sizing intact.
     EXPECT_EQ(placer.cores()[0].residents, 0u);
     EXPECT_EQ(placer.cores()[1].residents, 0u);
-    EXPECT_EQ(hv.manager().liveCount(), 0u);
-    EXPECT_EQ(ckpt.backlog, before.backlog);
-    EXPECT_EQ(ckpt.sizing.config.numMesPerCore,
-              before.sizing.config.numMesPerCore);
+    EXPECT_EQ(sizing.config.numMesPerCore,
+              before.config.numMesPerCore);
+    EXPECT_EQ(sizing.config.numVesPerCore,
+              before.config.numVesPerCore);
+    EXPECT_EQ(sizing.config.sramSizePerCore,
+              before.config.sramSizePerCore);
 }
 
 // ------------------------------------------------ end-to-end fleet
@@ -460,21 +448,8 @@ TEST(Failover, DeterministicAndThreadInvariant)
     const auto b = runFleet(cfg);
     cfg.threads = 4;
     const auto c = runFleet(cfg);
-    for (const auto *r : {&b, &c}) {
-        EXPECT_EQ(a.completed, r->completed);
-        EXPECT_EQ(a.rejected, r->rejected);
-        EXPECT_EQ(a.lostRequests, r->lostRequests);
-        EXPECT_EQ(a.recoveredRequests, r->recoveredRequests);
-        EXPECT_EQ(a.failovers, r->failovers);
-        EXPECT_EQ(a.p99(), r->p99());
-        EXPECT_EQ(a.goodput, r->goodput);
-        EXPECT_DOUBLE_EQ(a.mttrCycles, r->mttrCycles);
-        EXPECT_DOUBLE_EQ(a.availability, r->availability);
-        for (size_t i = 0; i < a.placements.size(); ++i) {
-            EXPECT_EQ(a.placements[i].core, r->placements[i].core);
-            EXPECT_EQ(a.placements[i].nMes, r->placements[i].nMes);
-        }
-    }
+    expectFleetEq(a, b);
+    expectFleetEq(a, c);
 }
 
 TEST(Failover, NoFaultsMatchesFailureFreeEngineExactly)
@@ -486,11 +461,7 @@ TEST(Failover, NoFaultsMatchesFailureFreeEngineExactly)
     auto off = resilientFleet(/*failover=*/false);
     const auto a = runFleet(on);
     const auto b = runFleet(off);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.rejected, b.rejected);
-    EXPECT_EQ(a.p99(), b.p99());
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.goodput, b.goodput);
+    expectFleetEq(a, b);
     EXPECT_EQ(a.faultsInjected, 0u);
     EXPECT_EQ(a.coreFailures, 0u);
     EXPECT_EQ(a.failovers, 0u);

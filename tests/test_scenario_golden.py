@@ -27,9 +27,11 @@ after an intentional behavior change, then commit the diff:
         python3 tests/test_scenario_golden.py build/tools/neu10_run \\
             "$s" "scenarios/goldens/$(basename "$s" .scn).json" --regen
     done
-    python3 tests/test_scenario_golden.py build/tools/neu10_run \\
-        scenarios/fleet_elastic.scn \\
-        scenarios/goldens/fleet_elastic.trace.sha256 --trace --regen
+    for g in scenarios/goldens/*.trace.sha256; do
+        python3 tests/test_scenario_golden.py build/tools/neu10_run \\
+            "scenarios/$(basename "$g" .trace.sha256).scn" "$g" \\
+            --trace --regen
+    done
 
 Exit codes: 0 match (or regenerated), 1 mismatch, 2 usage/run error.
 """

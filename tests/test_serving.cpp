@@ -54,12 +54,7 @@ TEST(Serving, DeterministicAcrossRuns)
 {
     const auto cfg = pairConfig(ModelId::Ncf, 32, ModelId::ResNet, 32,
                                 PolicyKind::Neu10);
-    const auto a = runServing(cfg);
-    const auto b = runServing(cfg);
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.tenants[0].completed, b.tenants[0].completed);
-    EXPECT_EQ(a.tenants[0].p95(), b.tenants[0].p95());
-    EXPECT_EQ(a.meUsefulUtil, b.meUsefulUtil);
+    expectServingEq(runServing(cfg), runServing(cfg));
 }
 
 TEST(Serving, Fig21LowContentionSharingBeatsPmt)
