@@ -34,21 +34,6 @@ thread_local LogContext t_ctx;
 // at zero.
 thread_local unsigned t_quietFatal = 0;
 
-std::string
-vformat(const char *fmt, va_list ap)
-{
-    va_list ap2;
-    va_copy(ap2, ap);
-    int n = std::vsnprintf(nullptr, 0, fmt, ap);
-    std::string out;
-    if (n > 0) {
-        out.resize(static_cast<size_t>(n));
-        std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
-    }
-    va_end(ap2);
-    return out;
-}
-
 /**
  * Emit one complete message line with a single fwrite. stderr is
  * unbuffered and stdout line-buffered, so building the whole line
@@ -126,7 +111,7 @@ panic(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     if (g_level.load(std::memory_order_relaxed) >= LogLevel::Warn)
         emitLine(stderr, "panic", msg);
@@ -138,7 +123,7 @@ fatal(const char *fmt, ...)
 {
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     if (t_quietFatal == 0 &&
         g_level.load(std::memory_order_relaxed) >= LogLevel::Warn)
@@ -153,7 +138,7 @@ warn(const char *fmt, ...)
         return;
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     emitLine(stderr, "warn", msg);
 }
@@ -165,7 +150,7 @@ inform(const char *fmt, ...)
         return;
     va_list ap;
     va_start(ap, fmt);
-    std::string msg = vformat(fmt, ap);
+    std::string msg = vcsprintf(fmt, ap);
     va_end(ap);
     emitLine(stdout, "info", msg);
 }

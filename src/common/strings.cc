@@ -8,20 +8,27 @@ namespace neu10
 {
 
 std::string
-csprintf(const char *fmt, ...)
+vcsprintf(const char *fmt, va_list ap)
 {
-    va_list ap;
-    va_start(ap, fmt);
     va_list ap2;
     va_copy(ap2, ap);
     int n = std::vsnprintf(nullptr, 0, fmt, ap);
-    va_end(ap);
     std::string out;
     if (n > 0) {
         out.resize(static_cast<size_t>(n));
         std::vsnprintf(out.data(), out.size() + 1, fmt, ap2);
     }
     va_end(ap2);
+    return out;
+}
+
+std::string
+csprintf(const char *fmt, ...)
+{
+    va_list ap;
+    va_start(ap, fmt);
+    std::string out = vcsprintf(fmt, ap);
+    va_end(ap);
     return out;
 }
 

@@ -9,6 +9,7 @@
 #ifndef NEU10_COMMON_STRINGS_HH
 #define NEU10_COMMON_STRINGS_HH
 
+#include <cstdarg>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,11 @@ namespace neu10
 /** printf into a std::string. */
 std::string csprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/** csprintf() over a va_list, for variadic wrappers; the caller
+ * va_end()s @p ap. */
+std::string vcsprintf(const char *fmt, va_list ap)
+    __attribute__((format(printf, 1, 0)));
 
 /** "10.59MB" / "1.27GB" style byte formatting (decimal units). */
 std::string formatBytes(Bytes bytes);

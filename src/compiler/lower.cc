@@ -73,6 +73,70 @@ pickTiles(const TensorOp &op, Cycles me_cycles, unsigned nx)
     return std::max(1u, t);
 }
 
+/**
+ * The lowering skeleton both ISAs share: the output header, the fusion
+ * fold, the dependency remap and each operator's ME, VE and byte
+ * costs. @p emit appends one operator's work groups to its CompiledOp
+ * from (op, cop, ME cycles, VE cycles, bytes); the VE cycles are the
+ * operator's own plus its fused consumers', the only way either ISA
+ * uses them.
+ */
+template <typename Emit>
+CompiledModel
+lowerWith(const DnnGraph &graph, unsigned nx, unsigned ny, bool neu_isa,
+          const MachineModel &machine, const Emit &emit)
+{
+    NEU10_ASSERT(nx > 0 && ny > 0, "need engines to lower for");
+    graph.validate();
+
+    CompiledModel out;
+    out.model = graph.model;
+    out.batch = graph.batch;
+    out.nx = nx;
+    out.ny = ny;
+    out.neuIsa = neu_isa;
+    out.hbmFootprint = graph.hbmFootprint;
+
+    const auto fused = gatherFusion(graph);
+    // graph index -> compiled index (fused ops map to their producer).
+    std::vector<std::uint32_t> where(graph.ops.size());
+
+    for (std::uint32_t gi = 0; gi < graph.ops.size(); ++gi) {
+        const TensorOp &op = graph.ops[gi];
+        if (op.fuseWithPrev) {
+            where[gi] = where[op.deps[0]];
+            continue;
+        }
+
+        CompiledOp cop;
+        cop.name = op.name;
+        cop.kind = op.kind;
+        cop.sourceIndex = gi;
+        for (auto d : op.deps) {
+            const std::uint32_t cd = where[d];
+            if (std::find(cop.deps.begin(), cop.deps.end(), cd) ==
+                cop.deps.end()) {
+                cop.deps.push_back(cd);
+            }
+        }
+
+        const Cycles me_cycles =
+            usesMe(op.kind) && op.macs > 0
+                ? machine.meCyclesFor(op.macs, op.meEfficiency)
+                : 0.0;
+        const Cycles ve_own = machine.veCyclesFor(op.veElems);
+        const Cycles ve_fused = machine.veCyclesFor(fused[gi].veElems);
+        emit(op, cop, me_cycles, ve_own + ve_fused,
+             op.bytes + fused[gi].bytes);
+
+        where[gi] = static_cast<std::uint32_t>(out.ops.size());
+        out.ops.push_back(std::move(cop));
+    }
+
+    out.validate();
+    return out;
+}
+
 } // anonymous namespace
 
 bool
@@ -194,48 +258,8 @@ CompiledModel
 lowerToNeuIsa(const DnnGraph &graph, unsigned nx, unsigned ny,
               const MachineModel &machine)
 {
-    NEU10_ASSERT(nx > 0 && ny > 0, "need engines to lower for");
-    graph.validate();
-
-    CompiledModel out;
-    out.model = graph.model;
-    out.batch = graph.batch;
-    out.nx = nx;
-    out.ny = ny;
-    out.neuIsa = true;
-    out.hbmFootprint = graph.hbmFootprint;
-
-    const auto fused = gatherFusion(graph);
-    // graph index -> compiled index (fused ops map to their producer).
-    std::vector<std::uint32_t> where(graph.ops.size());
-
-    for (std::uint32_t gi = 0; gi < graph.ops.size(); ++gi) {
-        const TensorOp &op = graph.ops[gi];
-        if (op.fuseWithPrev) {
-            where[gi] = where[op.deps[0]];
-            continue;
-        }
-
-        CompiledOp cop;
-        cop.name = op.name;
-        cop.kind = op.kind;
-        cop.sourceIndex = gi;
-        for (auto d : op.deps) {
-            const std::uint32_t cd = where[d];
-            if (std::find(cop.deps.begin(), cop.deps.end(), cd) ==
-                cop.deps.end()) {
-                cop.deps.push_back(cd);
-            }
-        }
-
-        const Cycles me_cycles =
-            usesMe(op.kind) && op.macs > 0
-                ? machine.meCyclesFor(op.macs, op.meEfficiency)
-                : 0.0;
-        const Cycles ve_own = machine.veCyclesFor(op.veElems);
-        const Cycles ve_fused = machine.veCyclesFor(fused[gi].veElems);
-        const Bytes bytes = op.bytes + fused[gi].bytes;
-
+    const auto emit = [&](const TensorOp &op, CompiledOp &cop,
+                          Cycles me_cycles, Cycles ve, Bytes bytes) {
         if (me_cycles > 0.0) {
             const bool reduction =
                 op.parallelTiles < nx && me_cycles >= kReductionThreshold;
@@ -244,8 +268,7 @@ lowerToNeuIsa(const DnnGraph &graph, unsigned nx, unsigned ny,
             const unsigned chunks = chunkCount(me_cycles / tiles);
 
             const Cycles me_per = me_cycles / (tiles * chunks);
-            const Cycles ve_per =
-                reduction ? 0.0 : (ve_own + ve_fused) / (tiles * chunks);
+            const Cycles ve_per = reduction ? 0.0 : ve / (tiles * chunks);
             const Bytes bytes_per = bytes / (tiles * chunks);
 
             for (unsigned c = 0; c < chunks; ++c) {
@@ -283,20 +306,19 @@ lowerToNeuIsa(const DnnGraph &graph, unsigned nx, unsigned ny,
                 WorkUnit u;
                 u.kind = UTopKind::Ve;
                 u.gang = 0;
-                u.veTime = ve_own + ve_fused +
-                           machine.veCyclesFor(out_elems * (tiles - 1));
+                u.veTime =
+                    ve + machine.veCyclesFor(out_elems * (tiles - 1));
                 sum.units.push_back(u);
                 cop.groups.push_back(std::move(sum));
             }
         } else {
-            const Cycles ve_total = ve_own + ve_fused;
-            const unsigned chunks = chunkCount(ve_total);
+            const unsigned chunks = chunkCount(ve);
             for (unsigned c = 0; c < chunks; ++c) {
                 WorkGroup g;
                 WorkUnit u;
                 u.kind = UTopKind::Ve;
                 u.gang = 0;
-                u.veTime = ve_total / chunks;
+                u.veTime = ve / chunks;
                 u.bytes = bytes / chunks;
                 g.units.push_back(u);
                 if (c == 0)
@@ -304,60 +326,16 @@ lowerToNeuIsa(const DnnGraph &graph, unsigned nx, unsigned ny,
                 cop.groups.push_back(std::move(g));
             }
         }
-
-        where[gi] = static_cast<std::uint32_t>(out.ops.size());
-        out.ops.push_back(std::move(cop));
-    }
-
-    out.validate();
-    return out;
+    };
+    return lowerWith(graph, nx, ny, /*neu_isa=*/true, machine, emit);
 }
 
 CompiledModel
 lowerToVliw(const DnnGraph &graph, unsigned k_mes, unsigned k_ves,
             const MachineModel &machine)
 {
-    NEU10_ASSERT(k_mes > 0 && k_ves > 0, "need engines to lower for");
-    graph.validate();
-
-    CompiledModel out;
-    out.model = graph.model;
-    out.batch = graph.batch;
-    out.nx = k_mes;
-    out.ny = k_ves;
-    out.neuIsa = false;
-    out.hbmFootprint = graph.hbmFootprint;
-
-    const auto fused = gatherFusion(graph);
-    std::vector<std::uint32_t> where(graph.ops.size());
-
-    for (std::uint32_t gi = 0; gi < graph.ops.size(); ++gi) {
-        const TensorOp &op = graph.ops[gi];
-        if (op.fuseWithPrev) {
-            where[gi] = where[op.deps[0]];
-            continue;
-        }
-
-        CompiledOp cop;
-        cop.name = op.name;
-        cop.kind = op.kind;
-        cop.sourceIndex = gi;
-        for (auto d : op.deps) {
-            const std::uint32_t cd = where[d];
-            if (std::find(cop.deps.begin(), cop.deps.end(), cd) ==
-                cop.deps.end()) {
-                cop.deps.push_back(cd);
-            }
-        }
-
-        const Cycles me_cycles =
-            usesMe(op.kind) && op.macs > 0
-                ? machine.meCyclesFor(op.macs, op.meEfficiency)
-                : 0.0;
-        const Cycles ve_own = machine.veCyclesFor(op.veElems);
-        const Cycles ve_fused = machine.veCyclesFor(fused[gi].veElems);
-        const Bytes bytes = op.bytes + fused[gi].bytes;
-
+    const auto emit = [&](const TensorOp &op, CompiledOp &cop,
+                          Cycles me_cycles, Cycles ve, Bytes bytes) {
         WorkGroup g;
         WorkUnit u;
         if (me_cycles > 0.0) {
@@ -377,23 +355,17 @@ lowerToVliw(const DnnGraph &graph, unsigned k_mes, unsigned k_ves,
             // fraction of the held engine-cycles.
             u.meEff = static_cast<double>(eff) / k_mes *
                       op.meEfficiency;
-            u.veTime = ve_own + ve_fused;
-            u.bytes = bytes;
         } else {
             u.kind = UTopKind::Ve;
             u.gang = 0;
-            u.veTime = ve_own + ve_fused;
-            u.bytes = bytes;
         }
+        u.veTime = ve;
+        u.bytes = bytes;
         g.units.push_back(u);
         cop.groups.push_back(std::move(g));
-
-        where[gi] = static_cast<std::uint32_t>(out.ops.size());
-        out.ops.push_back(std::move(cop));
-    }
-
-    out.validate();
-    return out;
+    };
+    return lowerWith(graph, k_mes, k_ves, /*neu_isa=*/false, machine,
+                     emit);
 }
 
 NeuIsaProgram

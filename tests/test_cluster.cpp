@@ -812,13 +812,45 @@ TEST(Fleet, DeterministicAcrossRuns)
     expectFleetEq(runFleet(cfg), runFleet(cfg));
 }
 
+/** The scenarios/fleet_{static,elastic}.scn pair at its smoke
+ * horizon: 8 overloaded 2-EU tenants first-fit-stacked onto 2 of 8
+ * cores, bursty traffic. */
+FleetConfig
+imbalancedFleet(unsigned epochs, unsigned threads = 1)
+{
+    FleetConfig cfg;
+    cfg.numBoards = 2;
+    cfg.placement = PlacementPolicy::FirstFit;
+    cfg.horizon = 6e6;
+    cfg.maxCycles = 50.0 * cfg.horizon;
+    cfg.threads = threads;
+    cfg.elastic.epochs = epochs;
+    cfg.elastic.imbalanceThreshold = 0.05;
+    const Cycles service =
+        sizeVnpuForModel(ModelId::Mnist, 32, 2, cfg.board.core)
+            .serviceEstimate();
+    for (unsigned i = 0; i < 8; ++i) {
+        ClusterTenantSpec t;
+        t.model = ModelId::Mnist;
+        t.batch = 32;
+        t.eus = 2;
+        t.traffic.shape = TrafficShape::Bursty;
+        t.traffic.ratePerSec =
+            1.2 * cfg.board.core.freqHz / service;
+        t.traffic.seed = 42 + i;
+        t.sloCycles = 5.0 * service;
+        t.maxQueueDepth = 32;
+        cfg.tenants.push_back(t);
+    }
+    return cfg;
+}
+
 TEST(Fleet, PlacementRespectsCoreCapacity)
 {
-    for (auto policy :
-         {PlacementPolicy::FirstFit, PlacementPolicy::BestFit,
-          PlacementPolicy::LoadBalanced}) {
-        const auto cfg = smallFleet(policy, /*tenants=*/12);
-        const auto r = runFleet(cfg);
+    // Every placed vNPU holds at least one ME and one VE, and no core
+    // is committed past its capacity.
+    auto expectWithinCapacity = [](const FleetConfig &cfg,
+                                   const FleetResult &r) {
         const NpuCoreConfig core;
         std::vector<unsigned> mes(cfg.totalCores(), 0);
         std::vector<unsigned> ves(cfg.totalCores(), 0);
@@ -834,11 +866,38 @@ TEST(Fleet, PlacementRespectsCoreCapacity)
             hbm[pl.core] += pl.hbmBytes;
         }
         for (CoreId c = 0; c < cfg.totalCores(); ++c) {
-            EXPECT_LE(mes[c], core.numMes) << placementName(policy);
-            EXPECT_LE(ves[c], core.numVes) << placementName(policy);
-            EXPECT_LE(hbm[c], core.hbmBytes) << placementName(policy);
+            EXPECT_LE(mes[c], core.numMes);
+            EXPECT_LE(ves[c], core.numVes);
+            EXPECT_LE(hbm[c], core.hbmBytes);
         }
+    };
+    for (auto policy :
+         {PlacementPolicy::FirstFit, PlacementPolicy::BestFit,
+          PlacementPolicy::LoadBalanced}) {
+        SCOPED_TRACE(placementName(policy));
+        const auto cfg = smallFleet(policy, /*tenants=*/12);
+        expectWithinCapacity(cfg, runFleet(cfg));
     }
+
+    // Final placements that moved: an elastic run whose vNPUs migrate
+    // (re-split on their destinations)...
+    const auto elastic = imbalancedFleet(/*epochs=*/8);
+    const auto migrated = runFleet(elastic);
+    EXPECT_GT(migrated.migrations, 0u);
+    expectWithinCapacity(elastic, migrated);
+
+    // ...and a board loss whose vNPUs fail over.
+    auto lossy = smallFleet(PlacementPolicy::LoadBalanced);
+    lossy.elastic.epochs = 4;
+    FaultEvent loss;
+    loss.at = 0.3 * lossy.horizon;
+    loss.kind = FaultKind::BoardLoss;
+    loss.board = 0;
+    loss.durationCycles = kCyclesInf;
+    lossy.resilience.faults = {loss};
+    const auto restored = runFleet(lossy);
+    EXPECT_GT(restored.failovers, 0u);
+    expectWithinCapacity(lossy, restored);
 }
 
 TEST(Fleet, OversizedTenantIsRejectedWholesale)
@@ -888,39 +947,6 @@ TEST(Fleet, ThreadCountDoesNotChangeResults)
         cfg.threads = threads;
         expectFleetEq(serial, runFleet(cfg));
     }
-}
-
-/** The scenarios/fleet_{static,elastic}.scn pair at its smoke
- * horizon: 8 overloaded 2-EU tenants first-fit-stacked onto 2 of 8
- * cores, bursty traffic. */
-FleetConfig
-imbalancedFleet(unsigned epochs, unsigned threads = 1)
-{
-    FleetConfig cfg;
-    cfg.numBoards = 2;
-    cfg.placement = PlacementPolicy::FirstFit;
-    cfg.horizon = 6e6;
-    cfg.maxCycles = 50.0 * cfg.horizon;
-    cfg.threads = threads;
-    cfg.elastic.epochs = epochs;
-    cfg.elastic.imbalanceThreshold = 0.05;
-    const Cycles service =
-        sizeVnpuForModel(ModelId::Mnist, 32, 2, cfg.board.core)
-            .serviceEstimate();
-    for (unsigned i = 0; i < 8; ++i) {
-        ClusterTenantSpec t;
-        t.model = ModelId::Mnist;
-        t.batch = 32;
-        t.eus = 2;
-        t.traffic.shape = TrafficShape::Bursty;
-        t.traffic.ratePerSec =
-            1.2 * cfg.board.core.freqHz / service;
-        t.traffic.seed = 42 + i;
-        t.sloCycles = 5.0 * service;
-        t.maxQueueDepth = 32;
-        cfg.tenants.push_back(t);
-    }
-    return cfg;
 }
 
 TEST(Fleet, ElasticRebalancingBeatsStaticUnderImbalance)

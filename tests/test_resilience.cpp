@@ -609,27 +609,43 @@ TEST(Failover, BoundaryCoincidentFaultOnsetConserves)
     // (fault time == k * window) once produced a zero-length serving
     // run whose t=0 backlog events never fired, silently dropping
     // the carried work from every counter. Such a core must skip the
-    // epoch entirely and checkpoint its carry-in directly.
-    for (bool failover : {true, false}) {
-        auto cfg = resilientFleet(failover);
-        // Overload slightly so boards carry backlog at boundaries.
-        for (auto &t : cfg.tenants)
-            t.traffic.ratePerSec *= 3.0;
-        // Exactly the epoch-2 boundary (window = 1.2e7 / 6 = 2e6).
-        cfg.resilience.faults = {boardLoss(0, 4e6)};
-        setLogLevel(LogLevel::Silent);
-        const auto r = runFleet(cfg);
-        setLogLevel(LogLevel::Warn);
-        EXPECT_EQ(r.coreFailures, 4u) << "failover=" << failover;
-        EXPECT_EQ(r.completed + r.rejected, r.submitted)
-            << "failover=" << failover;
-        EXPECT_EQ(r.latencyCycles.count(), r.completed)
-            << "failover=" << failover;
-        if (failover) {
-            EXPECT_EQ(r.failovers, 4u);
-            EXPECT_EQ(r.lostRequests, 0u);
-        } else {
-            EXPECT_GT(r.lostRequests, 0u);
+    // epoch entirely and checkpoint its carry-in directly. Onset 0 is
+    // the first boundary, and a one-epoch run's only one: there the
+    // stranded tenants never run at all, yet still report their
+    // model.
+    struct Arm
+    {
+        unsigned epochs;
+        Cycles onset;
+    };
+    // Exactly the epoch-2 boundary (window = 1.2e7 / 6 = 2e6), then
+    // cycle 0 of a six-epoch and of a one-epoch run.
+    for (const Arm arm : {Arm{6, 4e6}, Arm{6, 0.0}, Arm{1, 0.0}}) {
+        for (bool failover : {true, false}) {
+            SCOPED_TRACE(testing::Message()
+                         << "epochs=" << arm.epochs
+                         << " onset=" << arm.onset
+                         << " failover=" << failover);
+            auto cfg = resilientFleet(failover, arm.epochs);
+            // Overload slightly so boards carry backlog at boundaries.
+            for (auto &t : cfg.tenants)
+                t.traffic.ratePerSec *= 3.0;
+            cfg.resilience.faults = {boardLoss(0, arm.onset)};
+            setLogLevel(LogLevel::Silent);
+            const auto r = runFleet(cfg);
+            setLogLevel(LogLevel::Warn);
+            EXPECT_EQ(r.coreFailures, 4u);
+            EXPECT_EQ(r.completed + r.rejected, r.submitted);
+            EXPECT_EQ(r.latencyCycles.count(), r.completed);
+            for (const auto &tr : r.tenants)
+                EXPECT_EQ(tr.model, "MNIST");
+            // A one-epoch run has no boundary to restore at.
+            if (failover && arm.epochs > 1) {
+                EXPECT_EQ(r.failovers, 4u);
+                EXPECT_EQ(r.lostRequests, 0u);
+            } else {
+                EXPECT_GT(r.lostRequests, 0u);
+            }
         }
     }
 }
