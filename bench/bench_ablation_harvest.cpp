@@ -29,10 +29,9 @@ double
 totalThroughput(Scenario s, bool harvest_me, bool harvest_ve)
 {
     s.corePolicy = PolicyKind::Neu10;
-    auto policy = std::make_unique<Neu10Policy>(/*harvest=*/true);
-    policy->setHarvestMes(harvest_me);
-    policy->setHarvestVes(harvest_ve);
-    return runServing(toServingConfig(s), std::move(policy))
+    return runServing(toServingConfig(s),
+                      std::make_unique<Neu10Policy>(harvest_me,
+                                                    harvest_ve))
         .totalThroughput();
 }
 

@@ -205,13 +205,8 @@ NpuCoreSim::advanceTo(Cycles now)
         hbm_rate += u->rate * static_cast<double>(u->bytes);
         if (u->kind == UTopKind::Me) {
             me_occ[u->slot] += u->gang;
-            if (!stalled && u->meTime > 0.0) {
-                // Useful service: what a performance counter sees —
-                // occupancy discounted by array fill and stalls.
-                me_useful[u->slot] +=
-                    u->gang * u->meEff *
-                    std::min(1.0, u->rate * u->meTime);
-            }
+            if (!stalled && u->meTime > 0.0)
+                me_useful[u->slot] += u->usefulMes();
         }
     }
     hbmBytes_ += hbm_rate * dt;
@@ -235,14 +230,40 @@ NpuCoreSim::advanceTo(Cycles now)
 }
 
 void
-NpuCoreSim::removeFromReady(UnitRun *u)
+NpuCoreSim::start(UnitRun *u)
 {
+    NEU10_ASSERT(!u->running, "unit already running");
     auto &q = u->kind == UTopKind::Me ? slots_[u->slot].readyMe
                                       : slots_[u->slot].readyVe;
     auto it = std::find(q.begin(), q.end(), u);
     NEU10_ASSERT(it != q.end(), "unit %llu not in ready queue",
                  static_cast<unsigned long long>(u->id));
     q.erase(it);
+    u->running = true;
+    running_.push_back(u);
+
+    if (captureOpTimings_) {
+        OpTiming &t = requestOf(u).timings[u->opIdx];
+        t.start = std::min(t.start, queue_.now());
+    }
+}
+
+void
+NpuCoreSim::release(UnitRun *u)
+{
+    u->running = false;
+    if (u->kind == UTopKind::Ve) {
+        --runningVes_;
+        return;
+    }
+    // A harvester is charged to another slot's budget: release that
+    // budget, not its owner's.
+    NEU10_ASSERT(u->budgetSlot < slots_.size() &&
+                     budgetUsed_[u->budgetSlot] >= u->gang,
+                 "budget accounting underflow on release of unit %llu",
+                 static_cast<unsigned long long>(u->id));
+    budgetUsed_[u->budgetSlot] -= u->gang;
+    u->budgetSlot = kNoSlot;
 }
 
 void
@@ -250,70 +271,36 @@ NpuCoreSim::bindMe(UnitRun *u, std::uint32_t budget_slot,
                    bool with_penalty)
 {
     NEU10_ASSERT(u->kind == UTopKind::Me, "bindMe on a VE unit");
-    NEU10_ASSERT(!u->running, "unit already running");
     NEU10_ASSERT(budget_slot < slots_.size(), "bad budget slot");
-    removeFromReady(u);
-    u->running = true;
+    start(u);
     u->budgetSlot = budget_slot;
     u->penalty = with_penalty ? cfg_.mePreemptCycles : 0.0;
     budgetUsed_[budget_slot] += u->gang;
-    running_.push_back(u);
-
-    if (captureOpTimings_) {
-        OpTiming &t = requestOf(u).timings[u->opIdx];
-        t.start = std::min(t.start, queue_.now());
-    }
-}
-
-void
-NpuCoreSim::preemptMe(UnitRun *u)
-{
-    NEU10_ASSERT(u->running && u->kind == UTopKind::Me,
-                 "preempting a non-running ME unit");
-    NEU10_ASSERT(budgetUsed_[u->budgetSlot] >= u->gang,
-                 "budget accounting underflow on preempt");
-    budgetUsed_[u->budgetSlot] -= u->gang;
-    u->running = false;
-    u->budgetSlot = kNoSlot;
-    u->penalty = 0.0;
-    u->rate = 0.0;
-    u->readyAt = queue_.now(); // its wait clock restarts on requeue
-    ++u->preemptions;
-    running_.erase(std::find(running_.begin(), running_.end(), u));
-    auto &q = slots_[u->slot].readyMe;
-    q.insert(q.begin(), u);
 }
 
 void
 NpuCoreSim::startVe(UnitRun *u)
 {
     NEU10_ASSERT(u->kind == UTopKind::Ve, "startVe on an ME unit");
-    NEU10_ASSERT(!u->running, "unit already running");
     NEU10_ASSERT(runningVeUnits() < cfg_.numVes,
                  "VE instruction queues exhausted");
-    removeFromReady(u);
-    u->running = true;
+    start(u);
     ++runningVes_;
-    running_.push_back(u);
-
-    if (captureOpTimings_) {
-        OpTiming &t = requestOf(u).timings[u->opIdx];
-        t.start = std::min(t.start, queue_.now());
-    }
 }
 
 void
-NpuCoreSim::preemptVe(UnitRun *u)
+NpuCoreSim::preempt(UnitRun *u)
 {
-    NEU10_ASSERT(u->running && u->kind == UTopKind::Ve,
-                 "preempting a non-running VE unit");
-    u->running = false;
+    NEU10_ASSERT(u->running, "preempting a non-running unit");
+    release(u);
+    u->penalty = 0.0;
     u->rate = 0.0;
     u->veShare = 0.0;
+    u->readyAt = queue_.now(); // its wait clock restarts on requeue
     ++u->preemptions;
-    --runningVes_;
     running_.erase(std::find(running_.begin(), running_.end(), u));
-    auto &q = slots_[u->slot].readyVe;
+    auto &q = u->kind == UTopKind::Me ? slots_[u->slot].readyMe
+                                      : slots_[u->slot].readyVe;
     q.insert(q.begin(), u);
 }
 
@@ -331,9 +318,9 @@ NpuCoreSim::setCaptureSeries(bool on)
 unsigned
 NpuCoreSim::budgetUsed(std::uint32_t slot) const
 {
-    // Maintained incrementally (bindMe / preemptMe / completeUnit /
-    // drainSlot): the policies probe this once per candidate binding,
-    // which made the former running-set scan an O(n^2) hot spot.
+    // Maintained incrementally (bindMe / release): the policies
+    // probe this once per candidate binding, which made the former
+    // running-set scan an O(n^2) hot spot.
     return budgetUsed_[slot];
 }
 
@@ -424,10 +411,8 @@ NpuCoreSim::updateStats(Cycles now)
             held += u->gang;
             if (captureSeries_)
                 slot_mes[u->slot] += u->gang;
-            if (u->penalty <= 0.0 && u->meTime > 0.0) {
-                useful += u->gang * u->meEff *
-                          std::min(1.0, u->rate * u->meTime);
-            }
+            if (u->penalty <= 0.0 && u->meTime > 0.0)
+                useful += u->usefulMes();
         }
         const double ve_rate =
             u->penalty > 0.0 ? 0.0 : u->rate * u->veTime;
@@ -450,14 +435,7 @@ NpuCoreSim::updateStats(Cycles now)
 void
 NpuCoreSim::completeUnit(UnitRun *u, Cycles now)
 {
-    if (u->kind == UTopKind::Me && u->budgetSlot != kNoSlot) {
-        NEU10_ASSERT(budgetUsed_[u->budgetSlot] >= u->gang,
-                     "budget accounting underflow on completion");
-        budgetUsed_[u->budgetSlot] -= u->gang;
-    }
-    if (u->kind == UTopKind::Ve)
-        --runningVes_;
-
+    release(u);
     RequestExec &req = requestOf(u);
     const std::uint32_t op_idx = u->opIdx;
     // Nothing refers to a completed unit any more: recycle it before
@@ -592,16 +570,7 @@ NpuCoreSim::drainSlot(std::uint32_t slot)
             ++i;
             continue;
         }
-        if (u->kind == UTopKind::Me && u->budgetSlot != kNoSlot) {
-            // A drained unit may be a harvester charged to a
-            // *different* slot's budget: release that budget, not
-            // the drained slot's.
-            NEU10_ASSERT(budgetUsed_[u->budgetSlot] >= u->gang,
-                         "budget accounting underflow on drain");
-            budgetUsed_[u->budgetSlot] -= u->gang;
-        }
-        if (u->kind == UTopKind::Ve)
-            --runningVes_;
+        release(u);
         running_.erase(running_.begin() + static_cast<long>(i));
         freeUnits_.push_back(u);
     }

@@ -30,6 +30,7 @@
 #ifndef NEU10_NPU_CORE_SIM_HH
 #define NEU10_NPU_CORE_SIM_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -113,6 +114,23 @@ struct UnitRun
         if (kind == UTopKind::Ve)
             return 1e18; // consumes whatever it is given
         return meTime > 0.0 ? veTime / meTime : 0.0;
+    }
+
+    /** A preempted unit with progress reloads its ME state when it is
+     * bound again, paying the context switch. */
+    bool
+    resumesPreempted() const
+    {
+        return preemptions > 0 && x > 0.0;
+    }
+
+    /** Useful MEs of a running ME unit that is neither stalled nor
+     * empty (Fig. 22a's "useful"): what a performance counter sees,
+     * occupancy discounted by array fill and stalls. */
+    double
+    usefulMes() const
+    {
+        return gang * meEff * std::min(1.0, rate * meTime);
     }
 };
 
@@ -235,15 +253,12 @@ class NpuCoreSim
      */
     void bindMe(UnitRun *u, std::uint32_t budget_slot, bool with_penalty);
 
-    /** Preempt a running ME unit back to the front of its ready queue
-     * (progress retained; it pays the penalty when re-bound). */
-    void preemptMe(UnitRun *u);
-
     /** Start a ready VE unit. */
     void startVe(UnitRun *u);
 
-    /** Preempt a running VE unit (whole-core switches, e.g. PMT). */
-    void preemptVe(UnitRun *u);
+    /** Preempt a running unit back to the front of its ready queue
+     * (progress retained; see UnitRun::resumesPreempted). */
+    void preempt(UnitRun *u);
 
     /** MEs of @p slot's budget currently consumed. */
     unsigned budgetUsed(std::uint32_t slot) const;
@@ -268,7 +283,11 @@ class NpuCoreSim
     void enqueueReadyUnits(RequestExec &req, std::uint32_t op_idx,
                            Cycles now);
     void updateStats(Cycles now);
-    void removeFromReady(UnitRun *u);
+    /** Move a ready unit to the running set (bindMe, startVe). */
+    void start(UnitRun *u);
+    /** Return a unit's engines: an ME gang's budget or a VE unit's
+     * instruction queue. */
+    void release(UnitRun *u);
     RequestExec &requestOf(const UnitRun *u);
     UnitRun *newUnit();
     void releaseRequest(RequestExec &req);
@@ -294,10 +313,10 @@ class NpuCoreSim
     UtilizationTracker veBusy_;
 
     // Running ME gangs charged to each slot's budget, maintained
-    // incrementally by bindMe/preemptMe/completeUnit/drainSlot so the
-    // policies' per-decision budgetUsed() probes are O(1) instead of
-    // a scan over the running set (a hot path: Neu10's fill/reclaim
-    // loops probe once per candidate binding).
+    // incrementally by bindMe and release so the policies'
+    // per-decision budgetUsed() probes are O(1) instead of a scan
+    // over the running set (a hot path: Neu10's fill/reclaim loops
+    // probe once per candidate binding).
     std::vector<unsigned> budgetUsed_;
     // Running VE units, maintained the same way for runningVeUnits().
     unsigned runningVes_ = 0;

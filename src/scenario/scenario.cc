@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -664,6 +665,23 @@ validate(const Scenario &s, const Misplaced &open_only,
                        csprintf("[tenant.%s] needs explicit 'mes' and "
                                 "'ves' (closed-loop tenants pin their "
                                 "engine split)", g.name.c_str()));
+        // Each vNPU owns its split on the one core. Checked whatever
+        // the file's core-policy, since --core-policy can replace it.
+        std::uint64_t mes = 0, ves = 0;
+        for (const ScenarioTenantGroup &g : s.groups) {
+            mes += std::uint64_t{g.count} * g.nMes;
+            ves += std::uint64_t{g.count} * g.nVes;
+            if (mes > s.board.core.numMes || ves > s.board.core.numVes)
+                failAt(file, g.line,
+                       csprintf("[tenant.%s] brings the closed-loop "
+                                "engine splits to %llu MEs and %llu "
+                                "VEs; the core has %u and %u ([fleet] "
+                                "mes, ves)", g.name.c_str(),
+                                static_cast<unsigned long long>(mes),
+                                static_cast<unsigned long long>(ves),
+                                s.board.core.numMes,
+                                s.board.core.numVes));
+        }
         return;
     }
 

@@ -15,26 +15,23 @@ namespace
 /** Temporal-sharing re-evaluation quantum (cycles). */
 constexpr Cycles kTemporalQuantum = 8192.0;
 
-/** Re-binding a previously preempted uTOp restores its ME state. */
+/** The slots' ME allocations add up to more than the core has. */
 bool
-needsRestorePenalty(const UnitRun *u)
+oversubscribed(const NpuCoreSim &core)
 {
-    return u->preemptions > 0 && u->x > 0.0;
+    unsigned total_alloc = 0;
+    for (const auto &s : core.slots())
+        total_alloc += s.nMes;
+    return total_alloc > core.config().numMes;
 }
 
 } // anonymous namespace
 
-Neu10Policy::Neu10Policy(bool harvest, bool temporal)
-    : harvest_(harvest), temporal_(temporal)
+Neu10Policy::Neu10Policy(bool harvest_mes, bool harvest_ves,
+                         bool temporal)
+    : harvestMes_(harvest_mes), harvestVes_(harvest_ves),
+      temporal_(temporal)
 {
-}
-
-std::string
-Neu10Policy::name() const
-{
-    if (temporal_)
-        return "Neu10-T";
-    return harvest_ ? "Neu10" : "Neu10-NH";
 }
 
 void
@@ -44,35 +41,31 @@ Neu10Policy::computeBudgets(const NpuCoreSim &core)
     std::vector<unsigned> &b = budget_;
     b.assign(slots.size(), 0);
 
-    unsigned total_alloc = 0;
-    for (const auto &s : slots)
-        total_alloc += s.nMes;
-
-    if (!temporal_ || total_alloc <= core.config().numMes) {
+    // Spatial isolation hands every slot its whole allocation, so the
+    // allocations must fit the core; only temporal mode time-shares.
+    const bool over = oversubscribed(core);
+    NEU10_ASSERT(temporal_ || !over,
+                 "spatial Neu10 needs the vNPUs' ME allocations to fit "
+                 "the core's %u MEs", core.config().numMes);
+    if (!over) {
         for (size_t i = 0; i < slots.size(); ++i)
             b[i] = slots[i].nMes;
         return;
     }
 
     // Oversubscribed: split the physical MEs by priority-weighted
-    // deficit (least attained service first), capped by allocation.
+    // deficit (least attained service first, ties in slot order),
+    // capped by allocation. Sorting (deficit, slot) pairs gives the
+    // stable order without a stable sort's temporary buffer.
     const unsigned phys = core.config().numMes;
-    std::vector<size_t> &order = order_;
-    order.resize(slots.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t c) {
-                         const double da =
-                             slots[a].meServiceCycles /
-                             std::max(1e-9, slots[a].priority);
-                         const double dc =
-                             slots[c].meServiceCycles /
-                             std::max(1e-9, slots[c].priority);
-                         return da < dc;
-                     });
+    order_.resize(slots.size());
+    for (size_t i = 0; i < order_.size(); ++i)
+        order_[i] = {slots[i].meServiceCycles /
+                         std::max(1e-9, slots[i].priority),
+                     i};
+    std::sort(order_.begin(), order_.end());
     unsigned left = phys;
-    for (size_t i : order) {
+    for (const auto &[deficit, i] : order_) {
         // Only grant budget a slot can actually use.
         const auto backlog = static_cast<unsigned>(
             slots[i].readyMe.size() + core.budgetUsed(
@@ -82,7 +75,7 @@ Neu10Policy::computeBudgets(const NpuCoreSim &core)
         left -= b[i];
     }
     // Hand leftovers to anyone with remaining allocation.
-    for (size_t i : order) {
+    for (const auto &[deficit, i] : order_) {
         if (left == 0)
             break;
         const unsigned extra = std::min(left, slots[i].nMes - b[i]);
@@ -104,11 +97,11 @@ Neu10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
         while (!slots[s].readyMe.empty() &&
                core.budgetUsed(s) < budget[s]) {
             UnitRun *u = slots[s].readyMe.front();
-            core.bindMe(u, s, needsRestorePenalty(u));
+            core.bindMe(u, s, u->resumesPreempted());
         }
     }
 
-    if (!harvest_ || !harvestMes_)
+    if (!harvestMes_)
         return;
 
     // Phase 2 — reclaim: backlogged owners preempt harvesters on
@@ -126,7 +119,7 @@ Neu10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
             UnitRun *victim = harvesters.back();
             ++slots[s].reclaimPreemptions;
             slots[s].blockedByHarvest += core.config().mePreemptCycles;
-            core.preemptMe(victim);
+            core.preempt(victim);
             UnitRun *u = slots[s].readyMe.front();
             core.bindMe(u, s, /*with_penalty=*/true);
         }
@@ -146,7 +139,7 @@ Neu10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
                 if (!slots[p].readyMe.empty())
                     continue; // owner will want it this round
                 UnitRun *u = slots[q].readyMe.front();
-                core.bindMe(u, p, needsRestorePenalty(u));
+                core.bindMe(u, p, u->resumesPreempted());
                 bound = true;
                 break;
             }
@@ -159,22 +152,7 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
 {
     (void)now;
     auto &slots = core.slots();
-    const unsigned ve_queues = core.config().numVes;
-
-    // Start ready VE uTOps round-robin while instruction queues last
-    // ("a ready VE uTOp is always executed").
-    bool started = true;
-    while (core.runningVeUnits() < ve_queues && started) {
-        started = false;
-        for (auto &slot : slots) {
-            if (slot.readyVe.empty())
-                continue;
-            if (core.runningVeUnits() >= ve_queues)
-                break;
-            core.startVe(slot.readyVe.front());
-            started = true;
-        }
-    }
+    startVesRoundRobin(core);
 
     // Per-slot VE share assignment: ME-uTOp demand first (frees the
     // occupied MEs soonest), then VE uTOps; surplus harvested.
@@ -218,7 +196,7 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
     allocate_within(meUnits_);
     allocate_within(veUnits_);
 
-    if (!harvest_ || !harvestVes_)
+    if (!harvestVes_)
         return;
 
     // Harvest surplus VE capacity: unmet ME-uTOp demand first, then
@@ -252,14 +230,9 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
 Cycles
 Neu10Policy::nextWakeup(const NpuCoreSim &core, Cycles now)
 {
-    if (!temporal_)
-        return kCyclesInf;
     // Re-evaluate deficit budgets periodically while oversubscribed
     // slots are contending.
-    unsigned total_alloc = 0;
-    for (const auto &s : core.slots())
-        total_alloc += s.nMes;
-    if (total_alloc <= core.config().numMes)
+    if (!temporal_ || !oversubscribed(core))
         return kCyclesInf;
     bool backlog = false;
     for (const auto &s : core.slots())

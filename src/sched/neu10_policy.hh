@@ -14,9 +14,11 @@
  *
  * The operation scheduler assigns VE shares per vNPU budget with
  * ME-uTOp demand prioritized (so occupied MEs free up soonest), then
- * redistributes surplus VE capacity across vNPUs (Fig. 18b). With
- * harvesting disabled this is exactly the Neu10-NH (MIG-like static
- * partitioning) baseline.
+ * redistributes surplus VE capacity across vNPUs (Fig. 18b). The two
+ * harvest directions are set apart: with both off this is exactly
+ * the Neu10-NH (MIG-like static partitioning) baseline, and the
+ * ablation bench turns one off at a time to separate ME-harvest from
+ * VE-harvest benefit.
  *
  * Temporal mode (software-isolated oversubscription, §III-C): engine
  * budgets are recomputed every round from priority-weighted attained
@@ -26,6 +28,7 @@
 #ifndef NEU10_SCHED_NEU10_POLICY_HH
 #define NEU10_SCHED_NEU10_POLICY_HH
 
+#include <utility>
 #include <vector>
 
 #include "sched/policy.hh"
@@ -38,17 +41,13 @@ class Neu10Policy : public SchedulerPolicy
 {
   public:
     /**
-     * @param harvest   enable ME/VE harvesting (false = Neu10-NH).
-     * @param temporal  software-isolated oversubscription mode.
+     * @param harvest_mes  reclaim and harvest other vNPUs' idle MEs.
+     * @param harvest_ves  hand surplus VE capacity across vNPUs.
+     * @param temporal     software-isolated oversubscription mode.
      */
-    explicit Neu10Policy(bool harvest, bool temporal = false);
+    Neu10Policy(bool harvest_mes, bool harvest_ves,
+                bool temporal = false);
 
-    /** Ablation toggles: disable one harvesting direction (the
-     * ablation bench separates ME-harvest from VE-harvest benefit). */
-    void setHarvestMes(bool on) { harvestMes_ = on; }
-    void setHarvestVes(bool on) { harvestVes_ = on; }
-
-    std::string name() const override;
     void scheduleMes(NpuCoreSim &core, Cycles now) override;
     void scheduleVes(NpuCoreSim &core, Cycles now) override;
     Cycles nextWakeup(const NpuCoreSim &core, Cycles now) override;
@@ -58,20 +57,16 @@ class Neu10Policy : public SchedulerPolicy
      * round. */
     void computeBudgets(const NpuCoreSim &core);
 
-    bool harvest_;
+    bool harvestMes_;
+    bool harvestVes_;
     bool temporal_;
-    bool harvestMes_ = true;
-    bool harvestVes_ = true;
 
     // Per-call scratch, kept so a scheduling round allocates nothing.
     std::vector<unsigned> budget_;
-    std::vector<size_t> order_;
+    std::vector<std::pair<double, size_t>> order_; ///< (deficit, slot)
     std::vector<UnitRun *> meUnits_;
-    std::vector<UnitRun *> veUnits_;
     std::vector<double> slotLeft_;
     std::vector<std::vector<UnitRun *>> slotUnits_;
-    std::vector<double> demands_;
-    std::vector<double> grants_;
 };
 
 } // namespace neu10

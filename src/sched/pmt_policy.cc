@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "npu/bandwidth.hh"
 
 namespace neu10
 {
@@ -50,12 +49,8 @@ PmtPolicy::beginSwitch(NpuCoreSim &core, std::uint32_t target,
 {
     // Checkpoint everything the departing tenant had in flight.
     evict_.assign(core.running().begin(), core.running().end());
-    for (UnitRun *u : evict_) {
-        if (u->kind == UTopKind::Me)
-            core.preemptMe(u);
-        else
-            core.preemptVe(u);
-    }
+    for (UnitRun *u : evict_)
+        core.preempt(u);
     active_ = target;
     switchReadyAt_ = now + switchCost_;
     quantumEnd_ = switchReadyAt_ + quantum_;
@@ -101,21 +96,15 @@ PmtPolicy::scheduleMes(NpuCoreSim &core, Cycles now)
     // Serve the active tenant exclusively: one gang operator at a
     // time, same as running solo.
     VnpuSlot &slot = core.slots()[active_];
-    bool me_running = false;
-    for (UnitRun *u : core.running())
-        if (u->kind == UTopKind::Me)
-            me_running = true;
-    if (!me_running && !slot.readyMe.empty()) {
+    if (!runningGang(core) && !slot.readyMe.empty()) {
         UnitRun *u = slot.readyMe.front();
-        const bool penalty = u->preemptions > 0 && u->x > 0.0;
-        core.bindMe(u, active_, penalty);
+        core.bindMe(u, active_, u->resumesPreempted());
     }
 }
 
 void
 PmtPolicy::scheduleVes(NpuCoreSim &core, Cycles now)
 {
-    (void)now;
     if (active_ == kNoSlot || now < switchReadyAt_) {
         for (UnitRun *u : core.running())
             u->veShare = 0.0;
@@ -127,27 +116,10 @@ PmtPolicy::scheduleVes(NpuCoreSim &core, Cycles now)
     while (core.runningVeUnits() < ve_queues && !slot.readyVe.empty())
         core.startVe(slot.readyVe.front());
 
-    // Exclusive VE pool: ME-operator demand first, then VE operators.
-    double left = core.config().numVes;
-    veUnits_.clear();
-    demands_.clear();
-    for (UnitRun *u : core.running()) {
-        if (u->veTime <= 0.0) {
-            u->veShare = 0.0;
-            continue;
-        }
-        if (u->kind == UTopKind::Me) {
-            u->veShare = std::min(u->veDemandRate(), left);
-            left = std::max(0.0, left - u->veShare);
-        } else {
-            veUnits_.push_back(u);
-            demands_.push_back(core.config().numVes);
-        }
-    }
-    grants_.resize(veUnits_.size());
-    maxMinAllocate(demands_, left, grants_);
-    for (size_t i = 0; i < veUnits_.size(); ++i)
-        veUnits_[i]->veShare = grants_[i];
+    // Exclusive VE pool. Every running unit is the active tenant's,
+    // so priority weights would all be equal; the split stays
+    // unweighted, since cap * w / wsum need not round like cap / n.
+    splitVesMeFirst(core, /*weighted=*/false);
 }
 
 Cycles

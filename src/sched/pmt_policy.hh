@@ -32,7 +32,6 @@ class PmtPolicy : public SchedulerPolicy
     explicit PmtPolicy(Cycles quantum_cycles = 65536.0,
                        Cycles switch_cycles = 4096.0);
 
-    std::string name() const override { return "PMT"; }
     void scheduleMes(NpuCoreSim &core, Cycles now) override;
     void scheduleVes(NpuCoreSim &core, Cycles now) override;
     Cycles nextWakeup(const NpuCoreSim &core, Cycles now) override;
@@ -53,9 +52,6 @@ class PmtPolicy : public SchedulerPolicy
 
     // Per-call scratch, kept so a scheduling round allocates nothing.
     std::vector<UnitRun *> evict_;
-    std::vector<UnitRun *> veUnits_;
-    std::vector<double> demands_;
-    std::vector<double> grants_;
 };
 
 } // namespace neu10

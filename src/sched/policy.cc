@@ -1,13 +1,72 @@
 #include "sched/policy.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/strings.hh"
+#include "npu/bandwidth.hh"
 #include "sched/neu10_policy.hh"
 #include "sched/pmt_policy.hh"
 #include "sched/v10_policy.hh"
 
 namespace neu10
 {
+
+void
+SchedulerPolicy::startVesRoundRobin(NpuCoreSim &core)
+{
+    const unsigned ve_queues = core.config().numVes;
+    bool started = true;
+    while (core.runningVeUnits() < ve_queues && started) {
+        started = false;
+        for (auto &slot : core.slots()) {
+            if (slot.readyVe.empty())
+                continue;
+            if (core.runningVeUnits() >= ve_queues)
+                break;
+            core.startVe(slot.readyVe.front());
+            started = true;
+        }
+    }
+}
+
+UnitRun *
+SchedulerPolicy::runningGang(const NpuCoreSim &core)
+{
+    for (UnitRun *u : core.running())
+        if (u->kind == UTopKind::Me)
+            return u;
+    return nullptr;
+}
+
+void
+SchedulerPolicy::splitVesMeFirst(NpuCoreSim &core, bool weighted)
+{
+    const unsigned pool = core.config().numVes;
+    double left = pool;
+    veUnits_.clear();
+    demands_.clear();
+    weights_.clear();
+    for (UnitRun *u : core.running()) {
+        if (u->veTime <= 0.0) {
+            u->veShare = 0.0;
+            continue;
+        }
+        if (u->kind == UTopKind::Me) {
+            u->veShare = std::min(u->veDemandRate(), left);
+            left = std::max(0.0, left - u->veShare);
+        } else {
+            veUnits_.push_back(u);
+            demands_.push_back(pool);
+            if (weighted)
+                weights_.push_back(core.slots()[u->slot].priority);
+        }
+    }
+    grants_.resize(veUnits_.size());
+    maxMinAllocate(demands_, left, grants_, weights_);
+    for (size_t i = 0; i < veUnits_.size(); ++i)
+        veUnits_[i]->veShare = grants_[i];
+}
 
 std::string
 policyName(PolicyKind kind)
@@ -45,9 +104,11 @@ makePolicy(PolicyKind kind)
 {
     switch (kind) {
       case PolicyKind::Neu10:
-        return std::make_unique<Neu10Policy>(/*harvest=*/true);
+        return std::make_unique<Neu10Policy>(/*harvest_mes=*/true,
+                                             /*harvest_ves=*/true);
       case PolicyKind::Neu10NH:
-        return std::make_unique<Neu10Policy>(/*harvest=*/false);
+        return std::make_unique<Neu10Policy>(/*harvest_mes=*/false,
+                                             /*harvest_ves=*/false);
       case PolicyKind::V10:
         return std::make_unique<V10Policy>();
       case PolicyKind::Pmt:

@@ -23,6 +23,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 #include "npu/core_sim.hh"
@@ -35,9 +36,6 @@ class SchedulerPolicy
 {
   public:
     virtual ~SchedulerPolicy() = default;
-
-    /** Policy name for reports ("Neu10", "Neu10-NH", "V10", "PMT"). */
-    virtual std::string name() const = 0;
 
     /** Bind/preempt ME units. Called after completions are drained. */
     virtual void scheduleMes(NpuCoreSim &core, Cycles now) = 0;
@@ -52,6 +50,30 @@ class SchedulerPolicy
         (void)now;
         return kCyclesInf;
     }
+
+  protected:
+    /** Start ready VE units round-robin over the slots while the ny
+     * VE instruction queues last ("a ready VE uTOp is always
+     * executed"). */
+    static void startVesRoundRobin(NpuCoreSim &core);
+
+    /** The running ME gang operator, or nullptr. The VLIW designs run
+     * at most one at a time. */
+    static UnitRun *runningGang(const NpuCoreSim &core);
+
+    /**
+     * The VLIW operation scheduler's VE split: the running ME
+     * operator's VLIW VE slots are served first (it cannot progress
+     * otherwise), then VE-only operators share the rest of the core's
+     * VEs max-min, weighted by tenant priority if @p weighted.
+     */
+    void splitVesMeFirst(NpuCoreSim &core, bool weighted);
+
+    // Per-call scratch, kept so a scheduling round allocates nothing.
+    std::vector<UnitRun *> veUnits_;
+    std::vector<double> demands_;
+    std::vector<double> weights_;
+    std::vector<double> grants_;
 };
 
 /** The four evaluated designs (§V-A). */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "npu/bandwidth.hh"
 
 namespace neu10
 {
@@ -25,6 +24,16 @@ constexpr Cycles kMaxWaitCycles = 32.0 * 1024;
 
 /** Slack absorbing fp dust in wait-time comparisons. */
 constexpr double kFairnessEps = 1e-3;
+
+/** How long @p s's oldest ready ME operator may wait: the token
+ * threshold, scaled down for higher-priority tenants. Each caller
+ * keeps its own comparison form, since `(now - readyAt) - bound` and
+ * `bound - eps` need not round alike. */
+double
+waitBound(const VnpuSlot &s)
+{
+    return kMaxWaitCycles / std::max(1e-9, s.priority);
+}
 
 double
 attained(const VnpuSlot &s)
@@ -56,10 +65,8 @@ V10Policy::pickNext(const NpuCoreSim &core) const
     for (std::uint32_t s = 0; s < slots.size(); ++s) {
         if (slots[s].readyMe.empty())
             continue;
-        const double bound =
-            kMaxWaitCycles / std::max(1e-9, slots[s].priority);
         const double over =
-            (now - slots[s].readyMe.front()->readyAt) - bound;
+            (now - slots[s].readyMe.front()->readyAt) - waitBound(slots[s]);
         if (over >= -kFairnessEps && over > worst_over) {
             starved = s;
             worst_over = over;
@@ -81,14 +88,8 @@ V10Policy::pickNext(const NpuCoreSim &core) const
 void
 V10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
 {
-    (void)now;
     auto &slots = core.slots();
-
-    // Find the running gang operator, if any.
-    UnitRun *runner = nullptr;
-    for (UnitRun *u : core.running())
-        if (u->kind == UTopKind::Me)
-            runner = u;
+    UnitRun *runner = runningGang(core);
 
     // Preemptive fairness: a waiter whose oldest ready ME operator has
     // exceeded the token threshold preempts the running operator
@@ -99,10 +100,8 @@ V10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
                 continue;
             const Cycles waited =
                 now - slots[s].readyMe.front()->readyAt;
-            const double bound =
-                kMaxWaitCycles / std::max(1e-9, slots[s].priority);
-            if (waited >= bound - kFairnessEps) {
-                core.preemptMe(runner);
+            if (waited >= waitBound(slots[s]) - kFairnessEps) {
+                core.preempt(runner);
                 runner = nullptr;
                 break;
             }
@@ -114,8 +113,7 @@ V10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
         if (s != kNoSlot) {
             UnitRun *u = slots[s].readyMe.front();
             // A preempted operator reloads its ME state on resume.
-            const bool penalty = u->preemptions > 0 && u->x > 0.0;
-            core.bindMe(u, s, penalty);
+            core.bindMe(u, s, u->resumesPreempted());
         }
     }
 }
@@ -124,49 +122,10 @@ void
 V10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
 {
     (void)now;
-    auto &slots = core.slots();
-    const unsigned ve_queues = core.config().numVes;
-
     // VE-only operators from any vNPU may run alongside the ME
-    // operator.
-    bool started = true;
-    while (core.runningVeUnits() < ve_queues && started) {
-        started = false;
-        for (auto &slot : slots) {
-            if (slot.readyVe.empty())
-                continue;
-            if (core.runningVeUnits() >= ve_queues)
-                break;
-            core.startVe(slot.readyVe.front());
-            started = true;
-        }
-    }
-
-    // The running ME operator's VLIW VE slots are served first (the
-    // operator cannot progress otherwise); VE-only operators share the
-    // remainder max-min weighted by tenant priority.
-    double left = core.config().numVes;
-    veUnits_.clear();
-    demands_.clear();
-    weights_.clear();
-    for (UnitRun *u : core.running()) {
-        if (u->veTime <= 0.0) {
-            u->veShare = 0.0;
-            continue;
-        }
-        if (u->kind == UTopKind::Me) {
-            u->veShare = std::min(u->veDemandRate(), left);
-            left = std::max(0.0, left - u->veShare);
-        } else {
-            veUnits_.push_back(u);
-            demands_.push_back(core.config().numVes);
-            weights_.push_back(slots[u->slot].priority);
-        }
-    }
-    grants_.resize(veUnits_.size());
-    maxMinAllocate(demands_, left, grants_, weights_);
-    for (size_t i = 0; i < veUnits_.size(); ++i)
-        veUnits_[i]->veShare = grants_[i];
+    // operator, sharing what it leaves by tenant priority.
+    startVesRoundRobin(core);
+    splitVesMeFirst(core, /*weighted=*/true);
 }
 
 Cycles
@@ -174,10 +133,7 @@ V10Policy::nextWakeup(const NpuCoreSim &core, Cycles now)
 {
     // Wake when some waiter's oldest ready ME operator crosses the
     // token threshold.
-    const UnitRun *runner = nullptr;
-    for (const UnitRun *u : core.running())
-        if (u->kind == UTopKind::Me)
-            runner = u;
+    const UnitRun *runner = runningGang(core);
     if (!runner)
         return kCyclesInf;
 
@@ -186,10 +142,8 @@ V10Policy::nextWakeup(const NpuCoreSim &core, Cycles now)
     for (std::uint32_t s = 0; s < slots.size(); ++s) {
         if (s == runner->slot || slots[s].readyMe.empty())
             continue;
-        const double bound =
-            kMaxWaitCycles / std::max(1e-9, slots[s].priority);
         const Cycles deadline =
-            slots[s].readyMe.front()->readyAt + bound;
+            slots[s].readyMe.front()->readyAt + waitBound(slots[s]);
         next = std::min(next, std::max(deadline, now + 1.0));
     }
     return next;

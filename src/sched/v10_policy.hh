@@ -15,8 +15,6 @@
 #ifndef NEU10_SCHED_V10_POLICY_HH
 #define NEU10_SCHED_V10_POLICY_HH
 
-#include <vector>
-
 #include "sched/policy.hh"
 
 namespace neu10
@@ -28,7 +26,6 @@ class V10Policy : public SchedulerPolicy
   public:
     V10Policy() = default;
 
-    std::string name() const override { return "V10"; }
     void scheduleMes(NpuCoreSim &core, Cycles now) override;
     void scheduleVes(NpuCoreSim &core, Cycles now) override;
     Cycles nextWakeup(const NpuCoreSim &core, Cycles now) override;
@@ -36,12 +33,6 @@ class V10Policy : public SchedulerPolicy
   private:
     /** Slot whose turn it is: least attained ME service / priority. */
     std::uint32_t pickNext(const NpuCoreSim &core) const;
-
-    // Per-call scratch, kept so a scheduling round allocates nothing.
-    std::vector<UnitRun *> veUnits_;
-    std::vector<double> demands_;
-    std::vector<double> weights_;
-    std::vector<double> grants_;
 };
 
 } // namespace neu10

@@ -4,14 +4,16 @@
  * token loop.
  *
  * Core path: drives NpuCoreSim directly under each of the four
- * policies: two tenants in a closed loop (the paper's BERT +
- * EfficientNet pair), run until every pool and scratch buffer has
- * reached its working size, then counted over a fixed window of
- * events. The event queue, the request and unit pools, the ready
- * queues, max-min allocation, the policies' scratch and the
- * utilization trackers (integrated in place; their series are off
- * unless captured) must not allocate there: the window allows none,
- * so any per-event store that grows fails the gate.
+ * policies, and under Neu10's temporal mode with both vNPUs given the
+ * whole core (its deficit budgets are re-split every round): two
+ * tenants in a closed loop (the paper's BERT + EfficientNet pair),
+ * run until every pool and scratch buffer has reached its working
+ * size, then counted over a fixed window of events. The event queue,
+ * the request and unit pools, the ready queues, max-min allocation,
+ * the policies' scratch and the utilization trackers (integrated in
+ * place; their series are off unless captured) must not allocate
+ * there: the window allows none, so any per-event store that grows
+ * fails the gate.
  *
  * Trace: epoch merges (Trace::append) must grow a track
  * geometrically, and the Chrome export must allocate per buffer, not
@@ -32,11 +34,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "npu/core_sim.hh"
 #include "obs/trace.hh"
 #include "runtime/serving.hh"
+#include "sched/neu10_policy.hh"
 #include "sched/policy.hh"
 #include "sim/event_queue.hh"
 #include "vnpu/allocator.hh"
@@ -147,22 +151,29 @@ struct ClosedLoop
     }
 };
 
+/** With @p temporal, a temporal-mode Neu10 core whose two vNPUs are
+ * each allocated all of its MEs. */
 void
-expectSteadyStateAllocFree(PolicyKind kind)
+expectSteadyStateAllocFree(PolicyKind kind, bool temporal = false)
 {
     const NpuCoreConfig cfg;
+    const unsigned mes = temporal ? cfg.numMes : 2;
     const CompiledModel bert =
-        compileFor(TenantSpec(ModelId::Bert, 32, 2, 2), kind, cfg);
+        compileFor(TenantSpec(ModelId::Bert, 32, mes, 2), kind, cfg);
     const CompiledModel enet = compileFor(
-        TenantSpec(ModelId::EfficientNet, 32, 2, 2), kind, cfg);
+        TenantSpec(ModelId::EfficientNet, 32, mes, 2), kind, cfg);
     std::vector<VnpuSlot> slots(2);
     for (VnpuSlot &s : slots) {
-        s.nMes = 2;
+        s.nMes = mes;
         s.nVes = 2;
     }
 
     EventQueue queue;
-    NpuCoreSim core(queue, cfg, makePolicy(kind), std::move(slots));
+    std::unique_ptr<SchedulerPolicy> policy =
+        temporal ? std::make_unique<Neu10Policy>(true, true,
+                                                 /*temporal=*/true)
+                 : makePolicy(kind);
+    NpuCoreSim core(queue, cfg, std::move(policy), std::move(slots));
     ClosedLoop loop;
     loop.core = &core;
     loop.programs[0] = &bert;
@@ -182,9 +193,9 @@ expectSteadyStateAllocFree(PolicyKind kind)
     });
     const std::uint64_t events = queue.executed() - events_before;
 
-    std::printf("[alloc gate] %s: %llu allocations in %llu events, "
+    std::printf("[alloc gate] %s%s: %llu allocations in %llu events, "
                 "%llu requests completed in the window\n",
-                policyName(kind).c_str(),
+                policyName(kind).c_str(), temporal ? " temporal" : "",
                 static_cast<unsigned long long>(allocs),
                 static_cast<unsigned long long>(events),
                 static_cast<unsigned long long>(loop.completed -
@@ -214,6 +225,11 @@ TEST(SteadyStateAllocs, V10)
 TEST(SteadyStateAllocs, Pmt)
 {
     expectSteadyStateAllocFree(PolicyKind::Pmt);
+}
+
+TEST(SteadyStateAllocs, Neu10Temporal)
+{
+    expectSteadyStateAllocFree(PolicyKind::Neu10, /*temporal=*/true);
 }
 
 /** A core's per-epoch buffer: @p events request spans and instants. */

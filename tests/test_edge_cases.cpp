@@ -61,7 +61,7 @@ TEST(EdgeCase, SingleEngineCoreStillServesTwoTenants)
         s.nVes = 1;
     }
     // Spatial budgets sum to 2 > 1 physical: Neu10's temporal mode.
-    auto policy = std::make_unique<Neu10Policy>(true, /*temporal=*/true);
+    auto policy = std::make_unique<Neu10Policy>(true, true, /*temporal=*/true);
     NpuCoreSim core(queue, cfg, std::move(policy), slots);
 
     const CompiledModel m = tinyMe(1, 10000.0, 1);
@@ -74,6 +74,26 @@ TEST(EdgeCase, SingleEngineCoreStillServesTwoTenants)
     EXPECT_EQ(done, 4);
 }
 
+TEST(EdgeCase, SpatialNeu10RejectsOversubscribedCore)
+{
+    // 2 x 4 MEs on a 4-ME core: spatial Neu10 (and Neu10-NH) would
+    // hand each vNPU all four engines; only temporal mode time-shares.
+    const NpuCoreConfig cfg;
+    const CompiledModel m = tinyMe(4, 20000.0);
+    for (PolicyKind kind : {PolicyKind::Neu10, PolicyKind::Neu10NH}) {
+        SCOPED_TRACE(policyName(kind));
+        EventQueue queue;
+        std::vector<VnpuSlot> slots(2);
+        for (auto &s : slots) {
+            s.nMes = 4;
+            s.nVes = 2;
+        }
+        NpuCoreSim core(queue, cfg, makePolicy(kind), slots);
+        core.submit(0, &m);
+        EXPECT_THROW(queue.runUntil(), PanicError);
+    }
+}
+
 TEST(EdgeCase, TemporalModeBalancesOversubscribedTenants)
 {
     NpuCoreConfig cfg;
@@ -83,7 +103,7 @@ TEST(EdgeCase, TemporalModeBalancesOversubscribedTenants)
         s.nMes = 4; // 3 x 4 committed on 4 physical
         s.nVes = 2;
     }
-    auto policy = std::make_unique<Neu10Policy>(true, true);
+    auto policy = std::make_unique<Neu10Policy>(true, true, /*temporal=*/true);
     NpuCoreSim core(queue, cfg, std::move(policy), slots);
 
     const CompiledModel m = tinyMe(4, 20000.0);
@@ -285,7 +305,7 @@ TEST(EdgeCase, HighPriorityTenantGetsMoreUnderTemporalNeu10)
         s.nVes = 4;
     }
     slots[0].priority = 3.0;
-    auto policy = std::make_unique<Neu10Policy>(true, true);
+    auto policy = std::make_unique<Neu10Policy>(true, true, /*temporal=*/true);
     NpuCoreSim core(queue, cfg, std::move(policy), slots);
 
     const CompiledModel m = tinyMe(4, 20000.0);

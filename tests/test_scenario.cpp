@@ -948,6 +948,27 @@ TEST(ScenarioErrors, ClosedLoopNeedsEngineSplit)
                 "'ves'");
 }
 
+TEST(ScenarioErrors, ClosedLoopSplitsMustFitTheCore)
+{
+    // BERT + ENet at 4 + 4 MEs on the default 4-ME core: spatial
+    // Neu10 would hand each vNPU all four. The file's design does not
+    // matter, since neu10_run --core-policy can replace it.
+    expectError("[scenario]\nname = t\n[fleet]\nmode = closed-loop\n"
+                "core-policy = pmt\n"
+                "[tenant.bert]\nmodel = BERT\nmes = 4\nves = 2\n"
+                "[tenant.enet]\nmodel = ENet\nmes = 4\nves = 2\n",
+                "test.scn:10: [tenant.enet] brings the closed-loop "
+                "engine splits to 8 MEs and 4 VEs; the core has 4 and "
+                "4 ([fleet] mes, ves)");
+    // A group counts `count` times, and VEs are checked alike.
+    expectError("[scenario]\nname = t\n[fleet]\nmode = closed-loop\n"
+                "ves = 5\n"
+                "[tenant.a]\nmodel = MNIST\ncount = 3\nmes = 1\n"
+                "ves = 2\n",
+                "test.scn:6: [tenant.a] brings the closed-loop engine "
+                "splits to 3 MEs and 6 VEs; the core has 4 and 5");
+}
+
 TEST(ScenarioErrors, EveryKeyRejectsMalformedValue)
 {
     // Each key, set to junk as the last line of a minimal valid
@@ -1252,12 +1273,13 @@ TEST(ScenarioExpand, ServingConfigFields)
     Scenario s = parse(
         "[scenario]\nname = t\n[fleet]\nmode = closed-loop\n"
         "core-policy = pmt\nmin-requests = 10\n"
-        "smoke-min-requests = 3\nmax-cycles = 3e9\n"
+        "smoke-min-requests = 3\nmax-cycles = 3e9\nmes = 5\n"
         "[tenant.bert]\nmodel = BERT\nmes = 2\nves = 2\n"
         "outstanding = 2\npriority = 2\n"
         "[tenant.enet]\nmodel = ENet\nmes = 3\nves = 1\n");
     const ServingConfig cfg = toServingConfig(s);
     EXPECT_EQ(cfg.policy, PolicyKind::Pmt);
+    EXPECT_EQ(cfg.core.numMes, 5u);
     EXPECT_EQ(cfg.minRequests, 10u);
     EXPECT_EQ(cfg.maxCycles, 3e9);
     ASSERT_EQ(cfg.tenants.size(), 2u);

@@ -9,6 +9,10 @@ wall-clock/host/path fields), so an exact byte diff is the right
 comparison: any difference is either a real behavior change or a
 broken determinism contract, and both must be looked at.
 
+With ``--core-policy=NAME`` the runner is given the same option, so
+one closed-loop cell can be pinned under each design
+(``scenarios/goldens/<name>.<policy>.json``).
+
 With ``--trace`` the scenario runs traced instead (``NEU10_TRACE=on``,
 output in a temporary directory), once at ``--threads=1`` and once at
 ``--threads=4``, and the sha256 of the Chrome trace and of its
@@ -18,7 +22,8 @@ trace is hundreds of kilobytes, so the golden pins its digest rather
 than its bytes.
 
 Usage:
-    test_scenario_golden.py RUNNER SCENARIO GOLDEN [--trace] [--regen]
+    test_scenario_golden.py RUNNER SCENARIO GOLDEN [--core-policy=NAME]
+                            [--trace] [--regen]
 
 With ``--regen`` the golden is rewritten instead of compared — run
 after an intentional behavior change, then commit the diff:
@@ -26,6 +31,11 @@ after an intentional behavior change, then commit the diff:
     for s in scenarios/*.scn; do
         python3 tests/test_scenario_golden.py build/tools/neu10_run \\
             "$s" "scenarios/goldens/$(basename "$s" .scn).json" --regen
+    done
+    for g in scenarios/goldens/*.*.json; do
+        n=$(basename "$g" .json)
+        python3 tests/test_scenario_golden.py build/tools/neu10_run \\
+            "scenarios/${n%.*}.scn" "$g" --core-policy="${n##*.}" --regen
     done
     for g in scenarios/goldens/*.trace.sha256; do
         python3 tests/test_scenario_golden.py build/tools/neu10_run \\
@@ -64,12 +74,12 @@ def run_runner(cmd, env):
         sys.exit(2)
 
 
-def result_record(runner, scenario, env):
+def result_record(runner, scenario, env, extra):
     """The scenario's --smoke JSON record, as bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "result.json"
         run_runner([str(runner), str(scenario), "--smoke",
-                    f"--json={out}"], env)
+                    f"--json={out}", *extra], env)
         return out.read_bytes()
 
 
@@ -93,7 +103,9 @@ def trace_digests(runner, scenario, env, threads):
 
 def main(argv):
     flags = {"--regen", "--trace"}
-    args = [a for a in argv[1:] if a not in flags]
+    # Passed through to the runner.
+    extra = [a for a in argv[1:] if a.startswith("--core-policy=")]
+    args = [a for a in argv[1:] if a not in flags and a not in extra]
     regen = "--regen" in argv[1:]
     traced = "--trace" in argv[1:]
     if len(args) != 3:
@@ -104,13 +116,16 @@ def main(argv):
     env = {k: v for k, v in os.environ.items()
            if k not in HARNESS_VARS}
 
+    if traced and extra:
+        print("error: --trace takes no --core-policy", file=sys.stderr)
+        return 2
     if traced:
         runs = [(f"--threads={n}",
                  trace_digests(runner, scenario, env, n))
                 for n in TRACE_THREADS]
     else:
         runs = [("neu10_run output",
-                 result_record(runner, scenario, env))]
+                 result_record(runner, scenario, env, extra))]
 
     if regen:
         got = runs[0][1]
@@ -149,7 +164,7 @@ def main(argv):
     print(f"\nerror: {scenario.name} diverged from its golden. If "
           f"the change is intentional, regenerate with:\n  python3 "
           f"tests/test_scenario_golden.py {runner} {scenario} "
-          f"{golden}{mode} --regen\nand commit the updated golden.",
+          f"{golden}{''.join(' ' + a for a in extra)}{mode} --regen\nand commit the updated golden.",
           file=sys.stderr)
     return 1
 

@@ -16,7 +16,6 @@
 #include "runtime/serving.hh"
 #include "scenario/runner.hh"
 #include "scenario/scenario.hh"
-#include "sched/neu10_policy.hh"
 
 namespace neu10
 {
@@ -260,20 +259,6 @@ TEST(Serving, PolicyObjectOverloadMatchesPolicyKind)
         EXPECT_EQ(a.policy, b.policy);
         expectServingEq(a, b);
     }
-}
-
-TEST(Serving, HarvestingOffInBothDirectionsIsNoHarvest)
-{
-    // The harvest ablation's baseline: a harvesting Neu10Policy with
-    // ME and VE harvesting both off is exactly Neu10-NH.
-    auto cfg = pairConfig(ModelId::Dlrm, 32, ModelId::ShapeMask, 8,
-                          PolicyKind::Neu10, 4);
-    auto policy = std::make_unique<Neu10Policy>(/*harvest=*/true);
-    policy->setHarvestMes(false);
-    policy->setHarvestVes(false);
-    const auto off = runServing(cfg, std::move(policy));
-    cfg.policy = PolicyKind::Neu10NH;
-    expectServingEq(off, runServing(cfg));
 }
 
 TEST(Serving, CompileForMatchesPolicyIsa)
