@@ -263,6 +263,7 @@ NpuCoreSim::release(UnitRun *u)
                  "budget accounting underflow on release of unit %llu",
                  static_cast<unsigned long long>(u->id));
     budgetUsed_[u->budgetSlot] -= u->gang;
+    boundMes_ -= u->gang;
     u->budgetSlot = kNoSlot;
 }
 
@@ -272,10 +273,15 @@ NpuCoreSim::bindMe(UnitRun *u, std::uint32_t budget_slot,
 {
     NEU10_ASSERT(u->kind == UTopKind::Me, "bindMe on a VE unit");
     NEU10_ASSERT(budget_slot < slots_.size(), "bad budget slot");
+    NEU10_ASSERT(boundMes_ + u->gang <= cfg_.numMes,
+                 "binding unit %llu would hold %u of the core's %u MEs",
+                 static_cast<unsigned long long>(u->id),
+                 boundMes_ + u->gang, cfg_.numMes);
     start(u);
     u->budgetSlot = budget_slot;
     u->penalty = with_penalty ? cfg_.mePreemptCycles : 0.0;
     budgetUsed_[budget_slot] += u->gang;
+    boundMes_ += u->gang;
 }
 
 void

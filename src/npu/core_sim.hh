@@ -249,6 +249,7 @@ class NpuCoreSim
     // --- policy-facing mutators ------------------------------------
     /**
      * Bind an ME unit to an engine charged to @p budget_slot's budget.
+     * The core must have @p u's gang of MEs free (asserted).
      * @param with_penalty  charge the reclaim context-switch cost.
      */
     void bindMe(UnitRun *u, std::uint32_t budget_slot, bool with_penalty);
@@ -318,6 +319,9 @@ class NpuCoreSim
     // over the running set (a hot path: Neu10's fill/reclaim loops
     // probe once per candidate binding).
     std::vector<unsigned> budgetUsed_;
+    // MEs held by running gangs over all budgets, maintained the same
+    // way so bindMe can check the core's ME count without a scan.
+    unsigned boundMes_ = 0;
     // Running VE units, maintained the same way for runningVeUnits().
     unsigned runningVes_ = 0;
 

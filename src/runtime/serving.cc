@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "llm/llm_serving.hh"
@@ -49,284 +48,294 @@ namespace
  */
 constexpr unsigned kCorePipelineDepth = 2;
 
-/** Closed loop (§V-A): resubmit on completion until every tenant
- * reaches minRequests. @return the measurement stop time. */
-Cycles
-driveClosedLoop(const ServingConfig &config,
+/**
+ * The request loop of one run. Each tenant's admitted requests wait
+ * in a host-side FIFO of arrival stamps and enter the core while
+ * fewer than its window are in there. The two loops differ only in
+ * where arrivals come from and in when the run stops:
+ *
+ *  - Open loop: precomputed arrival streams pass per-tenant admission
+ *    control (backlog capped at maxQueueDepth) into a window of
+ *    kCorePipelineDepth. The run drains every admitted request, stops
+ *    at stopAtCycles (an epoch boundary — unserved admitted work is
+ *    reported as backlog), or hits the cycle cap.
+ *  - Closed loop (§V-A): `outstanding` arrivals stamped 0, and each
+ *    counted completion re-enqueues one stamped at its finish time,
+ *    which is when its successor is submitted, until every tenant has
+ *    completed minRequests. The window is `outstanding`.
+ *
+ * Every callback captures `this` and at most two 32-bit values, which
+ * std::function stores in place, so no request allocates.
+ */
+class RequestLoop
+{
+  public:
+    /** Set up each tenant's arrival source, tenant by tenant: a closed
+     * loop submits its first requests now; an open loop schedules one
+     * t = 0 event per carried stamp, then its arrivals, then its
+     * start-offset wake (the order the queue breaks t = 0 ties in). */
+    RequestLoop(const ServingConfig &config,
                 const std::vector<const CompiledModel *> &programs,
                 EventQueue &queue, NpuCoreSim &core,
                 ServingResult &result)
-{
-    bool stopped = false;
-    Cycles stop_time = 0.0;
-    TraceBuffer &trace = result.trace;
-
-    auto slowest_done = [&] {
-        std::uint64_t least = ~0ull;
-        for (const auto &t : result.tenants)
-            least = std::min(least, t.completed);
-        return least;
-    };
-
-    // Closed-loop pumps: resubmit on completion until stopped.
-    std::function<void(std::uint32_t)> pump = [&](std::uint32_t slot) {
-        core.submit(
-            static_cast<std::uint32_t>(slot), programs[slot],
-            [&, slot](const RequestResult &r) {
-                TenantResult &tr = result.tenants[slot];
-                if (!stopped) {
-                    ++tr.completed;
-                    tr.latencyCycles.add(r.latency());
-                    trace.instant(r.finishTime, "request", "complete",
-                                  "tenant", slot, "latency",
-                                  r.latency());
-                    if (config.captureOpTimings)
-                        tr.opTimings.push_back(r.opTimings);
-                }
-                if (!stopped &&
-                    slowest_done() >= config.minRequests) {
-                    stopped = true;
-                    stop_time = queue.now();
-                    return;
-                }
-                if (!stopped)
-                    pump(slot);
-            });
-    };
-
-    for (std::uint32_t i = 0; i < config.tenants.size(); ++i)
-        for (unsigned k = 0; k < config.tenants[i].outstanding; ++k)
-            pump(i);
-
-    // Drive the simulation until the stop condition or the time cap.
-    // The cap is exclusive: an event at or after it never runs (the
-    // former now()-based check let one event overshoot arbitrarily
-    // far past the cap, inflating the measurement window).
-    while (!stopped && !queue.empty() &&
-           queue.nextEventTime() < config.maxCycles) {
-        queue.step();
-    }
-    if (!stopped) {
-        // Capped run: the partial result is still well-formed — every
-        // tenant's Distribution holds exactly its completions so far
-        // (possibly none; percentile() is defined on empty), and the
-        // window is the last event processed inside the cap.
-        stop_time = queue.now();
-        logContextCycle(queue.now());
-        warn("serving run hit the %.0f-cycle cap before every tenant "
-             "completed %u requests (slowest tenant finished %llu)",
-             config.maxCycles, config.minRequests,
-             static_cast<unsigned long long>(slowest_done()));
-    }
-    return stop_time;
-}
-
-/** Open loop: precomputed arrival streams drive submissions through
- * per-tenant admission control (backlog capped at maxQueueDepth);
- * the run drains every admitted request, stops at stopAtCycles (an
- * epoch boundary — unserved admitted work is reported as backlog),
- * or hits the cycle cap. @return the measurement window. */
-Cycles
-driveOpenLoop(const ServingConfig &config,
-              const std::vector<const CompiledModel *> &programs,
-              EventQueue &queue, NpuCoreSim &core,
-              ServingResult &result)
-{
-    const size_t n = config.tenants.size();
-    TraceBuffer &trace = result.trace;
-
-    // Async-span ids for overlapping request lifecycles: a request's
-    // queue/execute spans can interleave with its neighbours' on the
-    // same track, so they are recorded as Chrome async events keyed by
-    // ((tenant + 1) << 40) + per-tenant sequence number. Ids stay
-    // below 2^56; the fleet salts the top byte per epoch when merging.
-    auto span_id = [](std::uint32_t i, std::uint64_t rid) {
-        return ((static_cast<std::uint64_t>(i) + 1) << 40) + rid;
-    };
-    // Admitted requests live in two stages: a host-side FIFO of
-    // arrival stamps (`waiting`) and the core simulator itself
-    // (`in_core`, at most kCorePipelineDepth per tenant). `inflight`
-    // counts both — that is what admission control sees.
-    std::vector<std::uint64_t> inflight(n, 0);
-    std::vector<std::deque<Cycles>> waiting(n);
-    std::vector<unsigned> in_core(n, 0);
-    // Original arrival stamp of every core-resident request, keyed by
-    // a per-tenant sequence number: completions erase their entry,
-    // and whatever remains at an epoch-boundary stop joins the
-    // waiting FIFO as the carried backlog.
-    std::vector<std::unordered_map<std::uint64_t, Cycles>> open(n);
-    std::vector<std::uint64_t> seq(n, 0);
-
-    // Earliest core-submission time per tenant (migration stalls).
-    // Work arriving earlier waits in the host FIFO — never in
-    // beyond-the-boundary events, so an epoch stop always sees it.
-    std::vector<Cycles> start_at(n, 0.0);
-
-    // Arrivals actually delivered so far, per tenant. When the cycle
-    // cap cuts the run short, the tail of each stream never fires as
-    // an event — those requests are counted below so request
-    // conservation (submitted == completed + rejected + backlog)
-    // survives a capped run.
-    std::vector<size_t> delivered(n, 0);
-
-    // Forward-declared so the completion callback can refill the
-    // core-side window.
-    std::function<void(std::uint32_t)> pump;
-
-    auto submit_one = [&](std::uint32_t i, Cycles stamp) {
-        const std::uint64_t rid = seq[i]++;
-        open[i].emplace(rid, stamp);
-        ++in_core[i];
-        core.submit(i, programs[i],
-                    [&, i, rid](const RequestResult &r) {
-                        TenantResult &tr = result.tenants[i];
-                        --inflight[i];
-                        --in_core[i];
-                        // Latency from the original arrival stamp, so
-                        // host-side queueing and pre-submission holds
-                        // (start offsets, carried epochs) count
-                        // toward the tail and the SLO.
-                        const Cycles lat =
-                            r.finishTime - open[i].at(rid);
-                        // Lifecycle spans are recorded at completion,
-                        // when the whole arc is known: host-side wait
-                        // (original stamp to core submission), then
-                        // execution. Carried stamps can be negative —
-                        // the fleet re-anchors, the export clamps.
-                        trace.asyncSpan(span_id(i, rid), open[i].at(rid),
-                                        r.submitTime, "request", "queue",
-                                        "tenant", i);
-                        trace.asyncSpan(span_id(i, rid), r.submitTime,
-                                        r.finishTime, "request",
-                                        "execute", "tenant", i);
-                        trace.instant(r.finishTime, "request",
-                                      "complete", "tenant", i,
-                                      "latency", lat);
-                        open[i].erase(rid);
-                        ++tr.completed;
-                        tr.latencyCycles.add(lat);
-                        if (lat <= config.tenants[i].sloCycles)
-                            ++tr.sloMet;
-                        if (config.captureOpTimings)
-                            tr.opTimings.push_back(r.opTimings);
-                        pump(i);
-                    });
-    };
-
-    pump = [&](std::uint32_t i) {
-        if (queue.now() < start_at[i])
-            return; // still stalled (migration cost); wake below
-        while (in_core[i] < kCorePipelineDepth && !waiting[i].empty()) {
-            const Cycles stamp = waiting[i].front();
-            waiting[i].pop_front();
-            submit_one(i, stamp);
+        : config_(config), programs_(programs), queue_(queue),
+          core_(core), result_(result),
+          closed_(config.mode == ServingMode::ClosedLoop),
+          tenants_(config.tenants.size())
+    {
+        for (std::uint32_t i = 0; i < tenants_.size(); ++i) {
+            const TenantSpec &ts = config.tenants[i];
+            if (closed_) {
+                tenants_[i].fifo.assign(ts.outstanding, 0.0);
+                pump(i);
+                continue;
+            }
+            tenants_[i].startAt = ts.startOffsetCycles;
+            // Carried backlog was admitted in an earlier epoch:
+            // re-enter it into the host FIFO right away, bypassing
+            // admission but counting toward the depth fresh arrivals
+            // see (its events fire before the tenant's first
+            // arrival). The pump won't touch it before the start
+            // offset.
+            for (std::uint32_t k = 0; k < ts.backlog.size(); ++k)
+                queue.schedule(0.0,
+                               [this, i, k](Cycles) {
+                                   tenants_[i].fifo.push_back(
+                                       config_.tenants[i].backlog[k]);
+                                   pump(i);
+                               },
+                               EventPriority::Arrival);
+            // Negative stamps (arrivals held through an outage) are
+            // delivered at t = 0 in stream order; the original stamp
+            // still prices their latency and SLO.
+            for (std::uint32_t k = 0; k < ts.arrivals.size(); ++k)
+                queue.schedule(std::max(0.0, ts.arrivals[k]),
+                               [this, i, k](Cycles) { arrive(i, k); },
+                               EventPriority::Arrival);
+            if (ts.startOffsetCycles > 0.0)
+                queue.schedule(ts.startOffsetCycles,
+                               [this, i](Cycles) { pump(i); },
+                               EventPriority::Arrival);
         }
+    }
+
+    RequestLoop(const RequestLoop &) = delete;
+    RequestLoop &operator=(const RequestLoop &) = delete;
+
+    /** Drive the run to its stop and report each tenant's backlog.
+     * @return the measurement window. */
+    Cycles
+    run()
+    {
+        // Both stops are exclusive boundaries: no event at or after
+        // stopAtCycles (epoch boundary) or maxCycles (runaway cap)
+        // runs, so an arrival stamped exactly on either line is
+        // outside this run's window — the same strict comparison
+        // runFleet uses when it slices arrival streams into epochs.
+        // (A now()-based cap check would let one event overshoot
+        // arbitrarily far past the cap, inflating the window.)
+        const Cycles stop_before =
+            std::min(config_.stopAtCycles, config_.maxCycles);
+        while (!stopped_ && !queue_.empty() &&
+               queue_.nextEventTime() < stop_before)
+            queue_.step();
+
+        // A boundary hand-off only exists while the boundary itself
+        // is inside the cap; with maxCycles < stopAtCycles the cap is
+        // the terminal stop and the shed accounting below must run
+        // (and the window must not report the unreached boundary).
+        const bool at_boundary =
+            !queue_.empty() &&
+            config_.stopAtCycles <= config_.maxCycles &&
+            queue_.nextEventTime() >= config_.stopAtCycles;
+        if (closed_ && !stopped_) {
+            // Capped run: the partial result is still well-formed —
+            // every tenant's Distribution holds exactly its
+            // completions so far (possibly none; percentile() is
+            // defined on empty), and the window is the last event
+            // processed inside the cap.
+            logContextCycle(queue_.now());
+            warn("serving run hit the %.0f-cycle cap before every "
+                 "tenant completed %u requests (slowest tenant "
+                 "finished %llu)",
+                 config_.maxCycles, config_.minRequests,
+                 static_cast<unsigned long long>(slowestDone()));
+        } else if (!closed_ && !queue_.empty() && !at_boundary) {
+            logContextCycle(queue_.now());
+            warn("open-loop run hit the %.0f-cycle cap with %zu events "
+                 "pending", config_.maxCycles, queue_.pending());
+            // The cap truncated the run mid-stream: arrivals whose
+            // delivery events never fired were still offered by the
+            // traffic source, so count them submitted-and-rejected
+            // rather than letting them vanish (a capped core in a
+            // fleet epoch must not leak requests from the
+            // conservation books).
+            for (std::uint32_t i = 0; i < tenants_.size(); ++i) {
+                TenantResult &tr = result_.tenants[i];
+                const size_t total = config_.tenants[i].arrivals.size();
+                NEU10_ASSERT(tr.submitted <= total,
+                             "delivered more arrivals than the stream "
+                             "holds");
+                tr.rejected += total - tr.submitted;
+                tr.submitted = total;
+            }
+        }
+
+        // Report whatever is still admitted-but-unserved — host-queued
+        // or core-resident — so an epoch-based caller can carry it
+        // over (sorted for determinism).
+        for (std::uint32_t i = 0; i < tenants_.size(); ++i) {
+            const Tenant &t = tenants_[i];
+            TenantResult &tr = result_.tenants[i];
+            tr.backlog.reserve(t.inCore.size() + t.fifo.size());
+            for (const InCore &e : t.inCore)
+                tr.backlog.push_back(e.stamp);
+            tr.backlog.insert(tr.backlog.end(), t.fifo.begin(),
+                              t.fifo.end());
+            std::sort(tr.backlog.begin(), tr.backlog.end());
+            // Open-loop request conservation: everything carried in
+            // or offered was completed, rejected or is carried out.
+            NEU10_ASSERT(closed_ ||
+                             config_.tenants[i].backlog.size() +
+                                     tr.submitted ==
+                                 tr.completed + tr.rejected +
+                                     tr.backlog.size(),
+                         "tenant %u (%s) does not conserve its requests",
+                         i, tr.model.c_str());
+        }
+        // An epoch-bounded run is measured over the whole epoch
+        // window, not just until its last processed event.
+        return at_boundary ? config_.stopAtCycles : queue_.now();
+    }
+
+  private:
+    /** A core-resident request: per-tenant id and arrival stamp. */
+    struct InCore
+    {
+        std::uint32_t rid;
+        Cycles stamp;
     };
 
-    auto on_arrival = [&](std::uint32_t i, Cycles stamp) {
-        TenantResult &tr = result.tenants[i];
-        ++delivered[i];
+    /** One tenant's admitted-but-unserved requests, in two stages:
+     * the host FIFO and the core. Admission control sees both. */
+    struct Tenant
+    {
+        std::deque<Cycles> fifo;
+        std::vector<InCore> inCore;
+        std::uint32_t nextRid = 0;
+        // Earliest core-submission time (migration stalls). Work
+        // arriving earlier waits in the FIFO — never in
+        // beyond-the-boundary events, so an epoch stop always sees it.
+        Cycles startAt = 0.0;
+    };
+
+    /** Deliver arrival @p k of tenant @p i's stream. */
+    void
+    arrive(std::uint32_t i, std::uint32_t k)
+    {
+        TenantResult &tr = result_.tenants[i];
+        Tenant &t = tenants_[i];
         ++tr.submitted;
-        if (inflight[i] >= config.tenants[i].maxQueueDepth) {
+        const std::uint64_t depth = t.fifo.size() + t.inCore.size();
+        if (depth >= config_.tenants[i].maxQueueDepth) {
             ++tr.rejected;
-            trace.instant(queue.now(), "request", "reject", "tenant",
-                          i, "depth", inflight[i]);
+            result_.trace.instant(queue_.now(), "request", "reject",
+                                  "tenant", i, "depth", depth);
             return;
         }
-        ++inflight[i];
-        trace.instant(queue.now(), "request", "admit", "tenant", i,
-                      "depth", inflight[i]);
-        waiting[i].push_back(stamp);
+        result_.trace.instant(queue_.now(), "request", "admit",
+                              "tenant", i, "depth", depth + 1);
+        t.fifo.push_back(config_.tenants[i].arrivals[k]);
         pump(i);
-    };
-
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const TenantSpec &ts = config.tenants[i];
-        start_at[i] = ts.startOffsetCycles;
-        // Carried backlog was admitted in an earlier epoch: re-enter
-        // it into the host FIFO right away, bypassing admission but
-        // counting toward the depth fresh arrivals see. The pump
-        // won't touch it before the start offset.
-        for (Cycles stamp : ts.backlog) {
-            ++inflight[i];
-            queue.schedule(0.0,
-                           [&, i, stamp](Cycles) {
-                               waiting[i].push_back(stamp);
-                               pump(i);
-                           },
-                           EventPriority::Arrival);
-        }
-        // Negative stamps (arrivals held through an outage) are
-        // delivered at t = 0 in stream order; the original stamp
-        // still prices their latency and SLO.
-        for (Cycles when : ts.arrivals)
-            queue.schedule(std::max(0.0, when),
-                           [&, i, when](Cycles) {
-                               on_arrival(i, when);
-                           },
-                           EventPriority::Arrival);
-        if (start_at[i] > 0.0)
-            queue.schedule(start_at[i],
-                           [&, i](Cycles) { pump(i); },
-                           EventPriority::Arrival);
     }
 
-    // Both stops are exclusive boundaries: no event at or after
-    // stopAtCycles (epoch boundary) or maxCycles (runaway cap) runs,
-    // so an arrival stamped exactly on either line is outside this
-    // run's window — the same strict comparison runFleet uses when
-    // it slices arrival streams into epochs.
-    const Cycles stop_before =
-        std::min(config.stopAtCycles, config.maxCycles);
-    while (!queue.empty() && queue.nextEventTime() < stop_before)
-        queue.step();
-
-    // A boundary hand-off only exists while the boundary itself is
-    // inside the cap; with maxCycles < stopAtCycles the cap is the
-    // terminal stop and the shed accounting below must run (and the
-    // window must not report the unreached boundary).
-    const bool at_boundary =
-        !queue.empty() && config.stopAtCycles <= config.maxCycles &&
-        queue.nextEventTime() >= config.stopAtCycles;
-    if (!queue.empty() && !at_boundary) {
-        logContextCycle(queue.now());
-        warn("open-loop run hit the %.0f-cycle cap with %zu events "
-             "pending", config.maxCycles, queue.pending());
-        // The cap truncated the run mid-stream: arrivals whose
-        // delivery events never fired were still offered by the
-        // traffic source, so count them submitted-and-rejected
-        // rather than letting them vanish (a capped core in a fleet
-        // epoch must not leak requests from the conservation books).
-        for (std::uint32_t i = 0; i < n; ++i) {
-            TenantResult &tr = result.tenants[i];
-            const size_t total = config.tenants[i].arrivals.size();
-            NEU10_ASSERT(delivered[i] <= total,
-                         "delivered more arrivals than the stream "
-                         "holds");
-            tr.submitted += total - delivered[i];
-            tr.rejected += total - delivered[i];
+    void
+    pump(std::uint32_t i)
+    {
+        Tenant &t = tenants_[i];
+        if (queue_.now() < t.startAt)
+            return; // still stalled (migration cost); its wake pumps
+        const unsigned window = closed_ ? config_.tenants[i].outstanding
+                                        : kCorePipelineDepth;
+        while (t.inCore.size() < window && !t.fifo.empty()) {
+            const std::uint32_t rid = t.nextRid++;
+            t.inCore.push_back({rid, t.fifo.front()});
+            t.fifo.pop_front();
+            core_.submit(i, programs_[i],
+                         [this, i, rid](const RequestResult &r) {
+                             complete(i, rid, r);
+                         });
         }
     }
 
-    // Report whatever is still admitted-but-unserved — host-queued or
-    // core-resident — so an epoch-based caller can carry it over
-    // (sorted for determinism).
-    for (std::uint32_t i = 0; i < n; ++i) {
-        TenantResult &tr = result.tenants[i];
-        tr.backlog.reserve(open[i].size() + waiting[i].size());
-        // neu10-lint: allow(unordered-iter): hash-order here is
-        // harmless — the merged backlog is sorted just below before
-        // anything reads it.
-        for (const auto &[rid, stamp] : open[i])
-            tr.backlog.push_back(stamp);
-        tr.backlog.insert(tr.backlog.end(), waiting[i].begin(),
-                          waiting[i].end());
-        std::sort(tr.backlog.begin(), tr.backlog.end());
+    void
+    complete(std::uint32_t i, std::uint32_t rid, const RequestResult &r)
+    {
+        Tenant &t = tenants_[i];
+        const auto it =
+            std::find_if(t.inCore.begin(), t.inCore.end(),
+                         [rid](const InCore &e) { return e.rid == rid; });
+        const Cycles stamp = it->stamp;
+        t.inCore.erase(it);
+        // A closed loop counts nothing that finishes after its stop,
+        // not even in the core event that stopped it.
+        if (stopped_)
+            return;
+        // Latency from the original arrival stamp, so host-side
+        // queueing and pre-submission holds (start offsets, carried
+        // epochs) count toward the tail and the SLO.
+        const Cycles lat = r.finishTime - stamp;
+        // Lifecycle spans are recorded at completion, when the whole
+        // arc is known: host-side wait (original stamp to core
+        // submission), then execution. Carried stamps can be negative
+        // — the fleet re-anchors, the export clamps. A request's spans
+        // can interleave with its neighbours' on the same track, so
+        // they are Chrome async events keyed by ((tenant + 1) << 40)
+        // + rid. Ids stay below 2^56; the fleet salts the top byte
+        // per epoch when merging.
+        const std::uint64_t id =
+            ((static_cast<std::uint64_t>(i) + 1) << 40) + rid;
+        TraceBuffer &trace = result_.trace;
+        trace.asyncSpan(id, stamp, r.submitTime, "request", "queue",
+                        "tenant", i);
+        trace.asyncSpan(id, r.submitTime, r.finishTime, "request",
+                        "execute", "tenant", i);
+        trace.instant(r.finishTime, "request", "complete", "tenant", i,
+                      "latency", lat);
+        TenantResult &tr = result_.tenants[i];
+        ++tr.completed;
+        tr.latencyCycles.add(lat);
+        if (lat <= config_.tenants[i].sloCycles)
+            ++tr.sloMet;
+        if (config_.captureOpTimings)
+            tr.opTimings.push_back(r.opTimings);
+        if (closed_) {
+            stopped_ = slowestDone() >= config_.minRequests;
+            if (!stopped_)
+                t.fifo.push_back(r.finishTime);
+        }
+        pump(i);
     }
-    // An epoch-bounded run is measured over the whole epoch window,
-    // not just until its last processed event.
-    return at_boundary ? config.stopAtCycles : queue.now();
-}
+
+    std::uint64_t
+    slowestDone() const
+    {
+        std::uint64_t least = ~0ull;
+        for (const auto &t : result_.tenants)
+            least = std::min(least, t.completed);
+        return least;
+    }
+
+    const ServingConfig &config_;
+    const std::vector<const CompiledModel *> &programs_;
+    EventQueue &queue_;
+    NpuCoreSim &core_;
+    ServingResult &result_;
+    const bool closed_;
+    /** Closed loop: the slowest tenant has completed minRequests. */
+    bool stopped_ = false;
+    std::vector<Tenant> tenants_;
+};
 
 } // anonymous namespace
 
@@ -394,10 +403,8 @@ runServing(const ServingConfig &config,
     for (size_t i = 0; i < config.tenants.size(); ++i)
         result.tenants[i].model = modelAbbrev(config.tenants[i].model);
 
-    const Cycles stop_time =
-        config.mode == ServingMode::OpenLoop
-            ? driveOpenLoop(config, programs, queue, core, result)
-            : driveClosedLoop(config, programs, queue, core, result);
+    RequestLoop loop(config, programs, queue, core, result);
+    const Cycles stop_time = loop.run();
 
     const Cycles window = std::max(1.0, stop_time);
     const Clock clock(config.core.freqHz);

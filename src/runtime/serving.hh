@@ -2,19 +2,23 @@
  * @file
  * Multi-tenant serving experiments (§V-A methodology).
  *
- * Two measurement loops share one core simulator:
+ * One request loop drives one core simulator in two modes, which
+ * differ only in where each tenant's arrivals come from and in when
+ * the run stops:
  *
  *  - Closed loop (the paper's §V-A setup): collocated tenants each run
  *    inference requests continuously on one physical core under a
- *    chosen design (PMT / V10 / Neu10-NH / Neu10); the run ends once
- *    every tenant has completed a minimum number of requests (or a
- *    simulated-time cap triggers).
+ *    chosen design (PMT / V10 / Neu10-NH / Neu10): a tenant's arrival
+ *    source resubmits on completion. The run ends once every tenant
+ *    has completed a minimum number of requests (or a simulated-time
+ *    cap triggers).
  *
  *  - Open loop (datacenter-style, used by src/cluster): each tenant
  *    brings a precomputed arrival-time stream; requests are admitted
  *    while the tenant's backlog is below its admission depth and
  *    rejected otherwise, and completions are checked against a
- *    per-tenant latency SLO. The run drains every admitted request.
+ *    per-tenant latency SLO. The run drains every admitted request
+ *    (or stops at an epoch boundary or the cap).
  *
  * Outputs per-tenant latency distributions (p50/p95/p99), throughput,
  * goodput and rejection counts (open loop), harvest-blocked time
@@ -212,7 +216,9 @@ struct TenantResult
     double blockedFrac = 0.0;     ///< Table III: blocked-by-harvest
     unsigned reclaims = 0;
 
-    // --- open-loop accounting (zero in closed loop) ----------------
+    // --- open-loop accounting (submitted and rejected are zero in a
+    // --- closed loop, whose SLO is infinite unless set, so its sloMet
+    // --- counts every completion) -----------------------------------
     std::uint64_t submitted = 0;  ///< arrivals seen
     std::uint64_t rejected = 0;   ///< admission-control drops
     std::uint64_t sloMet = 0;     ///< completions within sloCycles
@@ -220,8 +226,9 @@ struct TenantResult
 
     /** Arrival stamps (cycles, relative to this run's t = 0, possibly
      * negative for carried work) of admitted requests still unserved
-     * when the run stopped at ServingConfig::stopAtCycles; sorted
-     * non-decreasing. Empty when the run drained. */
+     * when the run stopped — at ServingConfig::stopAtCycles, at the
+     * cycle cap, or, in closed loop, at its target (the requests still
+     * in flight); sorted non-decreasing. Empty when the run drained. */
     std::vector<Cycles> backlog;
 
     // --- resilience accounting (filled by the fleet's failover

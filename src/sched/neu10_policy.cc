@@ -35,11 +35,10 @@ Neu10Policy::Neu10Policy(bool harvest_mes, bool harvest_ves,
 }
 
 void
-Neu10Policy::computeBudgets(const NpuCoreSim &core)
+Neu10Policy::computeBudgets(NpuCoreSim &core, Cycles now)
 {
     const auto &slots = core.slots();
     std::vector<unsigned> &b = budget_;
-    b.assign(slots.size(), 0);
 
     // Spatial isolation hands every slot its whole allocation, so the
     // allocations must fit the core; only temporal mode time-shares.
@@ -48,15 +47,25 @@ Neu10Policy::computeBudgets(const NpuCoreSim &core)
                  "spatial Neu10 needs the vNPUs' ME allocations to fit "
                  "the core's %u MEs", core.config().numMes);
     if (!over) {
+        b.assign(slots.size(), 0);
         for (size_t i = 0; i < slots.size(); ++i)
             b[i] = slots[i].nMes;
         return;
     }
 
-    // Oversubscribed: split the physical MEs by priority-weighted
-    // deficit (least attained service first, ties in slot order),
-    // capped by allocation. Sorting (deficit, slot) pairs gives the
-    // stable order without a stable sort's temporary buffer.
+    // Oversubscribed: the split holds for a whole quantum. Re-split
+    // every round, a slot that lost budget would give back its MEs
+    // each time: on a 1-ME core shared by two slots the budget would
+    // flip every restore penalty, and no unit would ever complete.
+    if (now < nextSplit_)
+        return;
+    nextSplit_ = now + kTemporalQuantum;
+    b.assign(slots.size(), 0);
+
+    // Split the physical MEs by priority-weighted deficit (least
+    // attained service first, ties in slot order), capped by
+    // allocation. Sorting (deficit, slot) pairs gives the stable order
+    // without a stable sort's temporary buffer.
     const unsigned phys = core.config().numMes;
     order_.resize(slots.size());
     for (size_t i = 0; i < order_.size(); ++i)
@@ -82,14 +91,25 @@ Neu10Policy::computeBudgets(const NpuCoreSim &core)
         b[i] += extra;
         left -= extra;
     }
+
+    // Units bound under an earlier split may now hold more than a
+    // budget allows: preempt the most recently bound ones (the end of
+    // the running set) until every budget fits, so the core never
+    // holds more MEs than it has.
+    auto &running = core.running();
+    for (size_t k = running.size(); k-- > 0;) {
+        UnitRun *u = running[k];
+        if (u->kind == UTopKind::Me &&
+            core.budgetUsed(u->budgetSlot) > b[u->budgetSlot])
+            core.preempt(u);
+    }
 }
 
 void
 Neu10Policy::scheduleMes(NpuCoreSim &core, Cycles now)
 {
-    (void)now;
     auto &slots = core.slots();
-    computeBudgets(core);
+    computeBudgets(core, now);
     const std::vector<unsigned> &budget = budget_;
 
     // Phase 1 — fill own budget FIFO.
@@ -230,15 +250,16 @@ Neu10Policy::scheduleVes(NpuCoreSim &core, Cycles now)
 Cycles
 Neu10Policy::nextWakeup(const NpuCoreSim &core, Cycles now)
 {
-    // Re-evaluate deficit budgets periodically while oversubscribed
-    // slots are contending.
+    // Re-split deficit budgets at the quantum boundary while
+    // oversubscribed slots are contending.
+    (void)now;
     if (!temporal_ || !oversubscribed(core))
         return kCyclesInf;
     bool backlog = false;
     for (const auto &s : core.slots())
         if (!s.readyMe.empty())
             backlog = true;
-    return backlog ? now + kTemporalQuantum : kCyclesInf;
+    return backlog ? nextSplit_ : kCyclesInf;
 }
 
 } // namespace neu10

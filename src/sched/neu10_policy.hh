@@ -21,8 +21,10 @@
  * VE-harvest benefit.
  *
  * Temporal mode (software-isolated oversubscription, §III-C): engine
- * budgets are recomputed every round from priority-weighted attained
- * service, so oversubscribed vNPUs time-share fairly.
+ * budgets are re-split from priority-weighted attained service at
+ * every quantum boundary, preempting what a slot holds beyond its new
+ * budget, so oversubscribed vNPUs time-share fairly and never hold
+ * more MEs than the core has.
  */
 
 #ifndef NEU10_SCHED_NEU10_POLICY_HH
@@ -54,12 +56,16 @@ class Neu10Policy : public SchedulerPolicy
 
   private:
     /** Fill budget_ with the effective per-slot ME budgets for this
-     * round. */
-    void computeBudgets(const NpuCoreSim &core);
+     * round; in temporal mode, re-split them once @p now reaches the
+     * quantum boundary and preempt what a slot holds beyond its new
+     * budget. */
+    void computeBudgets(NpuCoreSim &core, Cycles now);
 
     bool harvestMes_;
     bool harvestVes_;
     bool temporal_;
+    /** Temporal mode: when the oversubscribed budgets next re-split. */
+    Cycles nextSplit_ = 0.0;
 
     // Per-call scratch, kept so a scheduling round allocates nothing.
     std::vector<unsigned> budget_;

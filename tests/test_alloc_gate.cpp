@@ -1,11 +1,12 @@
 /**
  * @file
- * Allocation gates for the per-event core path, the trace and the LLM
- * token loop.
+ * Allocation gates for the per-event core path, the serving request
+ * loop, the trace and the LLM token loop.
  *
  * Core path: drives NpuCoreSim directly under each of the four
  * policies, and under Neu10's temporal mode with both vNPUs given the
- * whole core (its deficit budgets are re-split every round): two
+ * whole core (its deficit budgets are re-split every quantum, and a
+ * re-split preempts what a slot holds beyond its new budget): two
  * tenants in a closed loop (the paper's BERT + EfficientNet pair),
  * run until every pool and scratch buffer has reached its working
  * size, then counted over a fixed window of events. The event queue,
@@ -14,6 +15,13 @@
  * place; their series are off unless captured) must not allocate
  * there: the window allows none, so any per-event store that grows
  * fails the gate.
+ *
+ * Request loop: whole runServing calls, open and closed loop, with the
+ * programs compiled outside the count. Admission, rejection, a carried
+ * backlog, a start-offset stall, submission and completion must not
+ * allocate per request; what is left is set-up and amortized container
+ * growth (the event queue's tables, the host FIFOs' blocks, the latency
+ * samples), well under one allocation per ten completed requests.
  *
  * Trace: epoch merges (Trace::append) must grow a track
  * geometrically, and the Chrome export must allocate per buffer, not
@@ -300,6 +308,81 @@ TEST(TraceAllocs, ExportAllocatesPerBufferNotPerRow)
     const std::uint64_t large = exportAllocs(20000);
     EXPECT_LE(small, kMaxExportAllocs);
     EXPECT_EQ(large, small);
+}
+
+// At most one allocation per this many completed requests.
+constexpr std::uint64_t kRequestsPerAlloc = 10;
+
+/** An MNIST + NCF core under Neu10, 2 MEs + 2 VEs each, with both
+ * programs compiled before anything is counted. */
+struct RequestLoopCore
+{
+    ServingConfig config;
+    CompiledModel programs[2];
+
+    explicit RequestLoopCore(ServingMode mode)
+    {
+        config.mode = mode;
+        config.tenants = {TenantSpec(ModelId::Mnist, 32, 2, 2),
+                          TenantSpec(ModelId::Ncf, 32, 2, 2)};
+        for (int i = 0; i < 2; ++i) {
+            programs[i] = compileFor(config.tenants[i], config.policy,
+                                     config.core);
+            config.tenants[i].program = &programs[i];
+        }
+    }
+
+    /** Count one runServing call and gate its allocations per
+     * completed request. @return the run's result. */
+    ServingResult
+    expectFewAllocsPerRequest(const char *label) const
+    {
+        ServingResult result;
+        const std::uint64_t allocs =
+            countAllocs([&] { result = runServing(config); });
+        std::uint64_t completed = 0;
+        for (const TenantResult &t : result.tenants)
+            completed += t.completed;
+        std::printf("[alloc gate] %s request loop: %llu allocations for "
+                    "%llu completed requests\n",
+                    label, static_cast<unsigned long long>(allocs),
+                    static_cast<unsigned long long>(completed));
+        EXPECT_GT(completed, 10000u);
+        EXPECT_LE(allocs * kRequestsPerAlloc, completed);
+        return result;
+    }
+};
+
+TEST(RequestLoopAllocs, OpenLoop)
+{
+    // Bursts of six arrivals at one instant into an admission depth
+    // of four, so every burst sheds; tenant 0 also carries a backlog
+    // in and tenant 1 waits out a start offset (a migration stall).
+    RequestLoopCore core(ServingMode::OpenLoop);
+    for (TenantSpec &ts : core.config.tenants) {
+        ts.maxQueueDepth = 4;
+        for (int burst = 0; burst < 1500; ++burst)
+            for (int k = 0; k < 6; ++k)
+                ts.arrivals.push_back(1e6 * burst);
+    }
+    core.config.tenants[0].backlog = {-3e5, -2e5, -1e5};
+    core.config.tenants[1].startOffsetCycles = 5e5;
+    const ServingResult r = core.expectFewAllocsPerRequest("open");
+    for (const TenantResult &t : r.tenants) {
+        EXPECT_GT(t.rejected, 0u) << t.model;
+        EXPECT_TRUE(t.backlog.empty()) << t.model;
+    }
+    EXPECT_EQ(r.tenants[0].completed + r.tenants[0].rejected,
+              r.tenants[0].submitted + 3);
+}
+
+TEST(RequestLoopAllocs, ClosedLoop)
+{
+    RequestLoopCore core(ServingMode::ClosedLoop);
+    core.config.minRequests = 1000;
+    const ServingResult r = core.expectFewAllocsPerRequest("closed");
+    for (const TenantResult &t : r.tenants)
+        EXPECT_GE(t.completed, 1000u) << t.model;
 }
 
 // At most one allocation per this many generated tokens.

@@ -127,6 +127,47 @@ TEST(EdgeCase, TemporalModeBalancesOversubscribedTenants)
     EXPECT_LT(max_d / min_d, 1.4);
 }
 
+TEST(EdgeCase, TemporalModeNeverHoldsMoreMesThanTheCore)
+{
+    // 2 x 4 MEs on the 4-ME core, BERT + EfficientNet resubmitting on
+    // completion, at equal priorities and with slot 0 at 3: a budget
+    // re-split must take back the MEs a slot bound under its earlier,
+    // larger budget, or both slots hold all four at once (bindMe
+    // panics on such a bind).
+    const NpuCoreConfig cfg;
+    const CompiledModel bert = compileFor(TenantSpec(ModelId::Bert, 32, 4, 2),
+                                          PolicyKind::Neu10, cfg);
+    const CompiledModel enet =
+        compileFor(TenantSpec(ModelId::EfficientNet, 32, 4, 2),
+                   PolicyKind::Neu10, cfg);
+    const CompiledModel *programs[2] = {&bert, &enet};
+    for (double priority : {1.0, 3.0}) {
+        SCOPED_TRACE(priority);
+        EventQueue queue;
+        std::vector<VnpuSlot> slots(2);
+        for (auto &s : slots) {
+            s.nMes = 4;
+            s.nVes = 2;
+        }
+        slots[0].priority = priority;
+        NpuCoreSim core(queue, cfg,
+                        std::make_unique<Neu10Policy>(true, true,
+                                                      /*temporal=*/true),
+                        slots);
+        std::function<void(std::uint32_t)> pump = [&](std::uint32_t s) {
+            core.submit(s, programs[s],
+                        [&, s](const RequestResult &) { pump(s); });
+        };
+        pump(0);
+        pump(1);
+        ASSERT_NO_THROW({
+            for (int i = 0; i < 40000; ++i)
+                ASSERT_TRUE(queue.step());
+        });
+        EXPECT_LE(core.meHeld().utilization(queue.now()), 1.0);
+    }
+}
+
 TEST(EdgeCase, PreemptionStormStillConvergesAndConserves)
 {
     // Two tenants with many tiny uTOps force constant reclaim; both
