@@ -798,12 +798,15 @@ FleetRun::finish()
     hv_.setTraceNow(result_.makespan);
     for (size_t i = 0; i < books_.size(); ++i) {
         TenantResult &tr = result_.tenants[i];
+        // Work still carried after the final epoch is what the drain
+        // cap cut off: the run ends without serving it.
+        tr.rejected += books_[i].carried.size();
+        NEU10_ASSERT(tr.submitted == books_[i].arrivals.size(),
+                     "tenant %zu (%s) was not offered every request "
+                     "it generated", i, tr.model.c_str());
         // Rates over the fleet makespan (not any one core's window),
         // so tenants on early-draining cores are not flattered.
-        tr.throughput = tr.completed / secs;
-        tr.goodput = tr.sloMet / secs;
-        tr.llm.tokensPerSecond =
-            static_cast<double>(tr.llm.tokensGenerated) / secs;
+        settleRequests(tr, i, 0, secs, true);
         tr.blockedFrac =
             books_[i].blockedCycles / std::max(1.0, result_.makespan);
         result_.submitted += tr.submitted;

@@ -165,7 +165,9 @@ struct FleetConfig
     Cycles horizon = 5e7;
 
     /** Per-core drain cap in cycles (guards saturated cores); applies
-     * to the final (draining) epoch's event loop. */
+     * to the final (draining) epoch's event loop. Work it cuts off —
+     * arrivals not yet offered, and admitted work still unserved once
+     * the final epoch ends — counts as rejected. */
     Cycles maxCycles = 2e9;
 
     /** Host threads running per-core simulations concurrently:
@@ -278,8 +280,13 @@ struct FleetResult
 
     std::uint64_t submitted = 0;
     std::uint64_t completed = 0;
-    std::uint64_t rejected = 0; ///< admission drops + unplaced-tenant
-                                ///< arrivals + failure-lost requests
+    /** Admission drops + unplaced-tenant arrivals + failure-lost
+     * requests + work the drain cap (FleetConfig::maxCycles) cut off:
+     * arrivals it left unoffered and admitted work still unserved
+     * after the final epoch. runFleet asserts, per tenant, that every
+     * generated arrival is submitted and completed + rejected ==
+     * submitted. */
+    std::uint64_t rejected = 0;
     std::uint64_t sloMet = 0;
     unsigned unplacedTenants = 0;
 

@@ -48,6 +48,12 @@ FleetPlacer::FleetPlacer(unsigned num_cores, const NpuCoreConfig &core)
     : core_(core)
 {
     NEU10_ASSERT(num_cores > 0, "fleet needs at least one core");
+    // Free bytes count what the hypervisor maps, whole segments
+    // (§III-C), only when each memory is whole segments itself.
+    NEU10_ASSERT(core.sramBytes > 0 && core.hbmBytes > 0 &&
+                     core.sramBytes % core.sramSegment == 0 &&
+                     core.hbmBytes % core.hbmSegment == 0,
+                 "core SRAM and HBM must be whole isolation segments");
     CoreCapacity cap;
     cap.freeMes = core.numMes;
     cap.freeVes = core.numVes;

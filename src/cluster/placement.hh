@@ -124,7 +124,8 @@ class FleetPlacer
 {
   public:
     /** @param num_cores fleet-wide core count (boards x cores).
-     *  @param core      per-core physical capacity. */
+     *  @param core      per-core physical capacity; each memory must
+     *                   be a positive number of whole segments. */
     FleetPlacer(unsigned num_cores, const NpuCoreConfig &core);
 
     /**

@@ -143,15 +143,12 @@ class CondVar
     CondVar &operator=(const CondVar &) = delete;
 
     /** @pre @p lock is held; it is held again on return. */
-    void wait(MutexLock &lock) { cv_.wait(lock.mutex_); }
-
     template <typename Pred>
     void wait(MutexLock &lock, Pred pred)
     {
         cv_.wait(lock.mutex_, pred);
     }
 
-    void notifyOne() { cv_.notify_one(); }
     void notifyAll() { cv_.notify_all(); }
 
   private:

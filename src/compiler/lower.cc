@@ -111,7 +111,6 @@ lowerWith(const DnnGraph &graph, unsigned nx, unsigned ny, bool neu_isa,
         CompiledOp cop;
         cop.name = op.name;
         cop.kind = op.kind;
-        cop.sourceIndex = gi;
         for (auto d : op.deps) {
             const std::uint32_t cd = where[d];
             if (std::find(cop.deps.begin(), cop.deps.end(), cd) ==

@@ -79,7 +79,6 @@ struct CompiledOp
 {
     std::string name;
     OpKind kind = OpKind::Vector;
-    std::uint32_t sourceIndex = 0;     ///< index in the DnnGraph
     std::vector<WorkGroup> groups;
     std::vector<std::uint32_t> deps;   ///< producer CompiledOp indices
 

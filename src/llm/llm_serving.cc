@@ -24,18 +24,8 @@ struct Seq
     Cycles stamp = 0.0;       ///< arrival time (original, for SLO)
     std::uint32_t prompt = 0; ///< prompt tokens
     std::uint32_t output = 0; ///< tokens to decode
+    /** Tokens decoded so far; a preemption keeps the count. */
     std::uint32_t generated = 0;
-    bool sawFirstToken = false;
-};
-
-/** Cross-tenant accumulators for the core-level result fields. */
-struct CoreAccounting
-{
-    Cycles makespan = 0.0;
-    double meUsefulCycles = 0.0; ///< prefill busy, ME-weighted
-    double meHeldCycles = 0.0;   ///< decode busy, ME-weighted
-    double veCycles = 0.0;       ///< decode busy, VE-weighted
-    double bytesStreamed = 0.0;
 };
 
 /** Resolved per-endpoint knobs. */
@@ -52,8 +42,6 @@ resolveParams(const ServingConfig &config, const TenantSpec &ts,
               unsigned tenant)
 {
     const LlmParams &p = config.llm;
-    if (p.pageTokens == 0)
-        fatal("llm: page-tokens must be >= 1");
     if (p.promptTokens == 0 || p.outputTokens == 0)
         fatal("llm: prompt-tokens and output-tokens must be >= 1");
     if (ts.model != ModelId::Llama)
@@ -80,22 +68,28 @@ resolveParams(const ServingConfig &config, const TenantSpec &ts,
     return ep;
 }
 
-/** Run one tenant's endpoint; fills @p tr and the core accounting. */
-void
+/**
+ * Run one tenant's endpoint: fill its TenantResult, stretch
+ * result.makespan to the endpoint's end and add its ME-weighted
+ * prefill and decode, VE-weighted decode and streamed bytes to the
+ * core fields, which runLlmServing divides by the window.
+ * @return whether the cycle cap (not a boundary) stopped it.
+ */
+bool
 runEndpoint(const ServingConfig &config, unsigned tenant,
-            TenantResult &tr, TraceBuffer &trace, CoreAccounting &acc)
+            ServingResult &result)
 {
     const TenantSpec &ts = config.tenants[tenant];
+    TenantResult &tr = result.tenants[tenant];
+    TraceBuffer &trace = result.trace;
     const LlmModelSpec &spec = llamaSpec();
     const EndpointParams ep = resolveParams(config, ts, tenant);
-    const double ti = tenant; // trace arg
     // Hot-path trace calls branch on this first (obs/trace.hh), so
     // an untraced run skips the calls and their arguments.
     const bool tracing = trace.enabled();
-    // LLM serving is single-epoch (runFleet asserts it), so no epoch
-    // carries admitted work into this run.
-    NEU10_ASSERT(ts.backlog.empty(),
-                 "llm: tenant %u was handed a carried backlog", tenant);
+    // LLM serving is single-epoch (runFleet asserts it), so nothing
+    // carries admitted work in: ts.backlog is ignored here, and the
+    // conservation assert in settleRequests fails on a run handed one.
 
     // --- KV pool, carved from the vNPU HBM reservation ------------
     Bytes hbm = ts.hbmBytes;
@@ -129,13 +123,9 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         return lo + static_cast<std::uint32_t>(
                         rng.below(hi - lo + 1ull));
     };
-    for (Cycles stamp : ts.arrivals) {
-        Seq s;
-        s.stamp = stamp;
-        s.prompt = draw(ep.promptMin, ep.promptMax);
-        s.output = draw(ep.outputMin, ep.outputMax);
-        seqs.push_back(s);
-    }
+    for (Cycles stamp : ts.arrivals)
+        seqs.push_back({stamp, draw(ep.promptMin, ep.promptMax),
+                        draw(ep.outputMin, ep.outputMax)});
 
     // --- endpoint state --------------------------------------------
     const bool continuous =
@@ -165,31 +155,27 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         t = to;
     };
 
-    const auto deliver = [&]() {
-        while (next < seqs.size() && seqs[next].stamp <= t) {
+    // Offer each arrival stamped at or before @p upTo — never one at
+    // or past the stop, which is exclusive as in the request loop.
+    const auto deliver = [&](Cycles upTo) {
+        while (next < seqs.size() && seqs[next].stamp <= upTo &&
+               seqs[next].stamp < stop) {
             const auto idx = static_cast<std::uint32_t>(next);
-            ++tr.submitted;
-            if (waiting.size() + running.size() + staticDone.size() <
-                ts.maxQueueDepth) {
+            const bool admitted = offerRequest(
+                tr, ts, waiting.size() + running.size() + staticDone.size());
+            if (admitted)
                 waiting.push_back(idx);
-                if (tracing)
-                    trace.instant(std::max(seqs[next].stamp, t),
-                                  "request", "admit", "tenant", ti,
-                                  "seq", idx);
-            } else {
-                ++tr.rejected;
-                if (tracing)
-                    trace.instant(std::max(seqs[next].stamp, t),
-                                  "request", "reject", "tenant", ti,
-                                  "seq", idx);
-            }
+            if (tracing)
+                trace.instant(std::max(seqs[next].stamp, t), "request",
+                              admitted ? "admit" : "reject", "tenant",
+                              tenant, "seq", idx);
             ++next;
         }
     };
 
     const auto tracePageAlloc = [&](std::uint32_t newPages) {
         if (tracing && newPages != 0)
-            trace.instant(t, "llm", "page-alloc", "tenant", ti,
+            trace.instant(t, "llm", "page-alloc", "tenant", tenant,
                           "pages", newPages, "free",
                           pool.freePages());
     };
@@ -225,7 +211,7 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         bytes += static_cast<double>(prefillBytes(spec, ctx));
         ++tr.llm.prefills;
         running.push_back(idx);
-        deliver(); // arrivals during the pass
+        deliver(t); // arrivals during the pass
         return true;
     };
 
@@ -256,7 +242,7 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         const std::uint32_t freed = pool.release(victim);
         ++tr.llm.preemptions;
         if (tracing)
-            trace.instant(t, "llm", "page-evict", "tenant", ti, "seq",
+            trace.instant(t, "llm", "page-evict", "tenant", tenant, "seq",
                           victim, "pages", freed);
         // Recompute on readmission: the page list is gone but the
         // generated count survives, so the re-prefill covers
@@ -267,7 +253,7 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
 
     // --- main loop: one decode iteration per pass ------------------
     while (true) {
-        deliver();
+        deliver(t);
         if (continuous)
             admitContinuous();
         else
@@ -353,19 +339,14 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
             Seq &s = seqs[idx];
             ++s.generated;
             ++tr.llm.tokensGenerated;
-            if (!s.sawFirstToken) {
-                s.sawFirstToken = true;
+            if (s.generated == 1) // its first token
                 tr.llm.ttftCycles.add(t - s.stamp);
-            }
             if (s.generated >= s.output) {
                 const Cycles latency = t - s.stamp;
-                ++tr.completed;
-                tr.latencyCycles.add(latency);
-                if (latency <= ts.sloCycles)
-                    ++tr.sloMet;
+                serveRequest(tr, ts, latency);
                 if (tracing)
                     trace.instant(t, "request", "complete", "tenant",
-                                  ti, "latency", latency);
+                                  tenant, "latency", latency);
                 if (continuous) {
                     pool.release(idx); // pages free immediately
                 } else {
@@ -385,10 +366,14 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         }
     }
 
-    // --- teardown: conservation, backlog, stats --------------------
+    // --- teardown: the stop, backlog, pages, stats -----------------
+    // The loop stops between steps, so arrivals stamped after its
+    // last step but before the stop are offered now; a boundary hands
+    // the admitted ones on as backlog, and runLlmServing sheds the
+    // rest at the cap.
+    deliver(stop);
     pool.audit();
-    tr.backlog.reserve(waiting.size() + running.size() +
-                       staticDone.size());
+    tr.backlog.reserve(waiting.size() + running.size());
     for (std::uint32_t idx : waiting)
         tr.backlog.push_back(seqs[idx].stamp);
     for (std::uint32_t idx : running)
@@ -398,23 +383,15 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
     // invariant is an empty pool, with no holder class overlooked.
     for (SeqId holder : pool.holders())
         pool.release(holder);
-    std::sort(tr.backlog.begin(), tr.backlog.end());
-    if (stopped && !boundary) {
-        // Time-cap semantics (ServingConfig::maxCycles): arrivals
-        // the cap cut off were offered but never served.
-        tr.submitted += seqs.size() - next;
-        tr.rejected += seqs.size() - next;
-    }
     pool.audit();
 
     const Cycles endT = stopped ? stop : t;
-    acc.makespan = std::max(acc.makespan, endT);
+    result.makespan = std::max(result.makespan, endT);
     const double window = std::max(1.0, endT);
-    acc.meUsefulCycles +=
-        prefillBusy * ts.nMes / config.core.numMes;
-    acc.meHeldCycles += decodeBusy * ts.nMes / config.core.numMes;
-    acc.veCycles += decodeBusy * ts.nVes / config.core.numVes;
-    acc.bytesStreamed += bytes;
+    result.meUsefulUtil += prefillBusy * ts.nMes / config.core.numMes;
+    result.meHeldUtil += decodeBusy * ts.nMes / config.core.numMes;
+    result.veUtil += decodeBusy * ts.nVes / config.core.numVes;
+    result.avgHbmBytesPerCycle += bytes;
 
     LlmEndpointStats &ls = tr.llm;
     const KvPoolStats &ps = pool.stats();
@@ -429,10 +406,7 @@ runEndpoint(const ServingConfig &config, unsigned tenant,
         pageCyc > 0.0
             ? 1.0 - tokenCyc / (pageCyc * pool.pageTokens())
             : 0.0;
-    const Clock clock(config.core.freqHz);
-    ls.tokensPerSecond =
-        static_cast<double>(ls.tokensGenerated) /
-        clock.toSeconds(window);
+    return stopped && !boundary;
 }
 
 } // anonymous namespace
@@ -466,32 +440,30 @@ runLlmServing(const ServingConfig &config)
                  "runLlmServing serves ServingMode::LlmContinuous");
 
     ServingResult result;
-    if (config.trace.enabled)
-        result.trace.enable(true);
+    result.trace.enable(config.trace.enabled);
     result.policy = policyName(config.policy);
     result.tenants.resize(config.tenants.size());
 
-    CoreAccounting acc;
+    bool capped = false;
     for (unsigned i = 0; i < config.tenants.size(); ++i) {
-        TenantResult &tr = result.tenants[i];
-        tr.model = modelAbbrev(config.tenants[i].model);
-        runEndpoint(config, i, tr, result.trace, acc);
+        result.tenants[i].model = modelAbbrev(config.tenants[i].model);
+        capped |= runEndpoint(config, i, result);
     }
+    if (capped)
+        shedAtCap(config, result, result.makespan);
 
     // The measurement window spans every endpoint (they share the
     // core's wall clock even though their iterations interleave
     // analytically).
-    result.makespan = acc.makespan;
-    const double window = std::max(1.0, acc.makespan);
-    const Clock clock(config.core.freqHz);
-    result.meUsefulUtil = acc.meUsefulCycles / window;
-    result.meHeldUtil = acc.meHeldCycles / window;
-    result.veUtil = acc.veCycles / window;
-    result.avgHbmBytesPerCycle = acc.bytesStreamed / window;
-    for (TenantResult &tr : result.tenants) {
-        tr.throughput = tr.completed / clock.toSeconds(window);
-        tr.goodput = tr.sloMet / clock.toSeconds(window);
-    }
+    const double window = std::max(1.0, result.makespan);
+    const double secs = Clock(config.core.freqHz).toSeconds(window);
+    result.meUsefulUtil /= window;
+    result.meHeldUtil /= window;
+    result.veUtil /= window;
+    result.avgHbmBytesPerCycle /= window;
+    for (unsigned i = 0; i < config.tenants.size(); ++i)
+        settleRequests(result.tenants[i], i,
+                       config.tenants[i].backlog.size(), secs, true);
     return result;
 }
 

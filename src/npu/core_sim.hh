@@ -150,7 +150,6 @@ struct VnpuSlot
     Cycles meServiceCycles = 0.0;     ///< attained ME occupancy
     Cycles meUsefulCycles = 0.0;      ///< attained *useful* ME busy
     Cycles blockedByHarvest = 0.0;    ///< Table III numerator
-    Cycles activeSince = 0.0;
     unsigned reclaimPreemptions = 0;
     std::uint64_t requestsCompleted = 0;
     TimeSeries assignedMes;           ///< Fig. 24 (series capture)

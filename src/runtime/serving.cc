@@ -33,6 +33,58 @@ compileFor(const TenantSpec &spec, PolicyKind policy,
     return lowerToVliw(graph, core.numMes, core.numVes, core.machine());
 }
 
+bool
+offerRequest(TenantResult &tr, const TenantSpec &spec, std::uint64_t depth)
+{
+    const bool admitted = depth < spec.maxQueueDepth;
+    ++tr.submitted;
+    tr.rejected += !admitted;
+    return admitted;
+}
+
+void
+serveRequest(TenantResult &tr, const TenantSpec &spec, Cycles latency)
+{
+    ++tr.completed;
+    tr.latencyCycles.add(latency);
+    tr.sloMet += latency <= spec.sloCycles;
+}
+
+void
+shedAtCap(const ServingConfig &config, ServingResult &result, Cycles now)
+{
+    unsigned long long shed = 0;
+    for (std::size_t i = 0; i < result.tenants.size(); ++i) {
+        TenantResult &tr = result.tenants[i];
+        const std::size_t total = config.tenants[i].arrivals.size();
+        NEU10_ASSERT(tr.submitted <= total,
+                     "tenant %zu was offered past its stream", i);
+        shed += total - tr.submitted;
+        tr.rejected += total - tr.submitted;
+        tr.submitted = total;
+    }
+    logContextCycle(now);
+    warn("open-loop run hit the %.0f-cycle cap and shed %llu arrivals "
+         "it had not offered", config.maxCycles, shed);
+}
+
+void
+settleRequests(TenantResult &tr, std::size_t i, std::size_t carriedIn,
+               double seconds, bool offered)
+{
+    std::sort(tr.backlog.begin(), tr.backlog.end());
+    tr.throughput = tr.completed / seconds;
+    tr.goodput = tr.sloMet / seconds;
+    tr.llm.tokensPerSecond =
+        static_cast<double>(tr.llm.tokensGenerated) / seconds;
+    NEU10_ASSERT(!offered || carriedIn + tr.submitted ==
+                                 tr.completed + tr.rejected +
+                                     tr.backlog.size(),
+                 "tenant %zu (%s) does not conserve its requests: "
+                 "carried in + submitted != completed + rejected + "
+                 "carried out", i, tr.model.c_str());
+}
+
 namespace
 {
 
@@ -90,7 +142,6 @@ class RequestLoop
                 pump(i);
                 continue;
             }
-            tenants_[i].startAt = ts.startOffsetCycles;
             // Carried backlog was admitted in an earlier epoch:
             // re-enter it into the host FIFO right away, bypassing
             // admission but counting toward the depth fresh arrivals
@@ -161,29 +212,14 @@ class RequestLoop
                  config_.maxCycles, config_.minRequests,
                  static_cast<unsigned long long>(slowestDone()));
         } else if (!closed_ && !queue_.empty() && !at_boundary) {
-            logContextCycle(queue_.now());
-            warn("open-loop run hit the %.0f-cycle cap with %zu events "
-                 "pending", config_.maxCycles, queue_.pending());
-            // The cap truncated the run mid-stream: arrivals whose
-            // delivery events never fired were still offered by the
-            // traffic source, so count them submitted-and-rejected
-            // rather than letting them vanish (a capped core in a
-            // fleet epoch must not leak requests from the
-            // conservation books).
-            for (std::uint32_t i = 0; i < tenants_.size(); ++i) {
-                TenantResult &tr = result_.tenants[i];
-                const size_t total = config_.tenants[i].arrivals.size();
-                NEU10_ASSERT(tr.submitted <= total,
-                             "delivered more arrivals than the stream "
-                             "holds");
-                tr.rejected += total - tr.submitted;
-                tr.submitted = total;
-            }
+            // Every arrival event before the cap has fired, so each
+            // one stamped before it was offered.
+            shedAtCap(config_, result_, queue_.now());
         }
 
         // Report whatever is still admitted-but-unserved — host-queued
         // or core-resident — so an epoch-based caller can carry it
-        // over (sorted for determinism).
+        // over (settleRequests sorts it).
         for (std::uint32_t i = 0; i < tenants_.size(); ++i) {
             const Tenant &t = tenants_[i];
             TenantResult &tr = result_.tenants[i];
@@ -192,16 +228,6 @@ class RequestLoop
                 tr.backlog.push_back(e.stamp);
             tr.backlog.insert(tr.backlog.end(), t.fifo.begin(),
                               t.fifo.end());
-            std::sort(tr.backlog.begin(), tr.backlog.end());
-            // Open-loop request conservation: everything carried in
-            // or offered was completed, rejected or is carried out.
-            NEU10_ASSERT(closed_ ||
-                             config_.tenants[i].backlog.size() +
-                                     tr.submitted ==
-                                 tr.completed + tr.rejected +
-                                     tr.backlog.size(),
-                         "tenant %u (%s) does not conserve its requests",
-                         i, tr.model.c_str());
         }
         // An epoch-bounded run is measured over the whole epoch
         // window, not just until its last processed event.
@@ -223,28 +249,21 @@ class RequestLoop
         std::deque<Cycles> fifo;
         std::vector<InCore> inCore;
         std::uint32_t nextRid = 0;
-        // Earliest core-submission time (migration stalls). Work
-        // arriving earlier waits in the FIFO — never in
-        // beyond-the-boundary events, so an epoch stop always sees it.
-        Cycles startAt = 0.0;
     };
 
     /** Deliver arrival @p k of tenant @p i's stream. */
     void
     arrive(std::uint32_t i, std::uint32_t k)
     {
-        TenantResult &tr = result_.tenants[i];
         Tenant &t = tenants_[i];
-        ++tr.submitted;
         const std::uint64_t depth = t.fifo.size() + t.inCore.size();
-        if (depth >= config_.tenants[i].maxQueueDepth) {
-            ++tr.rejected;
-            result_.trace.instant(queue_.now(), "request", "reject",
-                                  "tenant", i, "depth", depth);
+        const bool admitted =
+            offerRequest(result_.tenants[i], config_.tenants[i], depth);
+        result_.trace.instant(queue_.now(), "request",
+                              admitted ? "admit" : "reject", "tenant", i,
+                              "depth", depth + admitted);
+        if (!admitted)
             return;
-        }
-        result_.trace.instant(queue_.now(), "request", "admit",
-                              "tenant", i, "depth", depth + 1);
         t.fifo.push_back(config_.tenants[i].arrivals[k]);
         pump(i);
     }
@@ -253,8 +272,12 @@ class RequestLoop
     pump(std::uint32_t i)
     {
         Tenant &t = tenants_[i];
-        if (queue_.now() < t.startAt)
-            return; // still stalled (migration cost); its wake pumps
+        // An open-loop tenant submits nothing before its start offset
+        // (migration and recovery stalls): work arriving earlier waits
+        // in the FIFO — never in beyond-the-boundary events, so an
+        // epoch stop always sees it — and the offset's wake pumps.
+        if (!closed_ && queue_.now() < config_.tenants[i].startOffsetCycles)
+            return;
         const unsigned window = closed_ ? config_.tenants[i].outstanding
                                         : kCorePipelineDepth;
         while (t.inCore.size() < window && !t.fifo.empty()) {
@@ -303,10 +326,7 @@ class RequestLoop
         trace.instant(r.finishTime, "request", "complete", "tenant", i,
                       "latency", lat);
         TenantResult &tr = result_.tenants[i];
-        ++tr.completed;
-        tr.latencyCycles.add(lat);
-        if (lat <= config_.tenants[i].sloCycles)
-            ++tr.sloMet;
+        serveRequest(tr, config_.tenants[i], lat);
         if (config_.captureOpTimings)
             tr.opTimings.push_back(r.opTimings);
         if (closed_) {
@@ -342,8 +362,6 @@ class RequestLoop
 ServingResult
 runServing(const ServingConfig &config)
 {
-    NEU10_ASSERT(!config.tenants.empty(), "experiment needs tenants");
-
     // Token-level LLM serving bypasses the op-graph path entirely:
     // the analytic iteration loop in src/llm/ prices prefill/decode
     // phases directly (no event queue, no compiled program).
@@ -407,7 +425,7 @@ runServing(const ServingConfig &config,
     const Cycles stop_time = loop.run();
 
     const Cycles window = std::max(1.0, stop_time);
-    const Clock clock(config.core.freqHz);
+    const double secs = Clock(config.core.freqHz).toSeconds(window);
     result.makespan = stop_time;
     result.meUsefulUtil = core.meUseful().utilization(window);
     result.meHeldUtil = core.meHeld().utilization(window);
@@ -417,8 +435,8 @@ runServing(const ServingConfig &config,
     for (size_t i = 0; i < result.tenants.size(); ++i) {
         TenantResult &tr = result.tenants[i];
         const VnpuSlot &slot = core.slots()[i];
-        tr.throughput = tr.completed / clock.toSeconds(window);
-        tr.goodput = tr.sloMet / clock.toSeconds(window);
+        settleRequests(tr, i, config.tenants[i].backlog.size(), secs,
+                       config.mode == ServingMode::OpenLoop);
         tr.blockedFrac = slot.blockedByHarvest / window;
         tr.reclaims = slot.reclaimPreemptions;
         if (config.captureSeries) {

@@ -161,11 +161,12 @@ struct ServingConfig
      * Hard cap on simulated cycles (guards tiny/huge model mixes).
      * The cap is an exclusive boundary, with the same semantics as
      * @ref stopAtCycles: no event at or after it runs, so an arrival
-     * landing exactly at the cap is outside this run's window. A
-     * capped open-loop run stays conserved — admitted-but-unserved
-     * work is reported as TenantResult::backlog and arrivals whose
-     * delivery the cap cut off are counted as submitted *and*
-     * rejected (the stream was offered; the server ran out of time).
+     * landing exactly at the cap is outside this run's window. Both
+     * loops stop at it by the same rule (shedAtCap): every arrival
+     * stamped before the cap is offered, admitted-but-unserved work
+     * is reported as TenantResult::backlog, arrivals at or past the
+     * cap are counted as submitted *and* rejected (the stream was
+     * offered; the server ran out of time), and the run warns.
      */
     Cycles maxCycles = 4e9;
 
@@ -220,7 +221,8 @@ struct TenantResult
     // --- closed loop, whose SLO is infinite unless set, so its sloMet
     // --- counts every completion) -----------------------------------
     std::uint64_t submitted = 0;  ///< arrivals seen
-    std::uint64_t rejected = 0;   ///< admission-control drops
+    std::uint64_t rejected = 0;   ///< admission drops + cap sheds
+                                  ///< (runFleet adds lost and cut-off work)
     std::uint64_t sloMet = 0;     ///< completions within sloCycles
     double goodput = 0.0;         ///< SLO-met requests / second
 
@@ -309,6 +311,48 @@ struct ServingResult
     /** Aggregate throughput over tenants (requests / second). */
     double totalThroughput() const;
 };
+
+/**
+ * @name Request books
+ * The per-tenant request rules of every serving run, one copy each:
+ * the request loop below, the LLM token loop (llm/llm_serving) and
+ * runFleet count, stop and settle a tenant's requests through these.
+ * @{
+ */
+
+/** Offer: count one arrival submitted, and admit it while @p depth
+ * (the tenant's admitted-but-unserved requests) is below its
+ * maxQueueDepth; count it rejected otherwise.
+ * @return whether it was admitted. */
+bool offerRequest(TenantResult &tr, const TenantSpec &spec,
+                  std::uint64_t depth);
+
+/** Serve: count one completion, its latency sample and whether it
+ * met the tenant's SLO. */
+void serveRequest(TenantResult &tr, const TenantSpec &spec,
+                  Cycles latency);
+
+/**
+ * Stop at the cap. A loop first offers every arrival stamped before
+ * its stop; at an epoch boundary it then hands its admitted work on
+ * as backlog. The cap is terminal instead: this sheds each tenant's
+ * arrivals not yet offered as submitted + rejected, and warns once
+ * with the log context at cycle @p now.
+ */
+void shedAtCap(const ServingConfig &config, ServingResult &result,
+               Cycles now);
+
+/**
+ * Settle tenant @p i over a window of @p seconds: sort its backlog,
+ * derive its throughput, goodput and LLM tokens per second and, when
+ * @p offered (any run but a closed loop, which offers nothing),
+ * assert request conservation: @p carriedIn + submitted ==
+ * completed + rejected + backlog.
+ * @throws PanicError naming the tenant when the books do not balance.
+ */
+void settleRequests(TenantResult &tr, std::size_t i,
+                    std::size_t carriedIn, double seconds, bool offered);
+/** @} */
 
 /**
  * Run one serving experiment. Deterministic: identical configs yield

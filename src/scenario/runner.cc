@@ -295,6 +295,31 @@ class Json
     bool first_ = true;
 };
 
+/** LLM counters shared by the per-tenant and fleet-wide "llm"
+ * objects; only the per-tenant one lists the KV alloc/free ops. */
+void
+emitLlmStats(Json &j, const LlmEndpointStats &l, bool pageOps)
+{
+    j.num("tokens", l.tokensGenerated);
+    j.num("tokens_per_sec", l.tokensPerSecond);
+    j.num("prefills", l.prefills);
+    j.num("decode_iterations", l.decodeIterations);
+    j.num("preemptions", l.preemptions);
+    const auto [ttft_p50, ttft_p99] =
+        l.ttftCycles.percentiles({0.50, 0.99});
+    j.num("ttft_p50_cycles", ttft_p50);
+    j.num("ttft_p99_cycles", ttft_p99);
+    j.num("kv_pages", l.kvPages);
+    j.num("kv_page_high_water", l.kvPageHighWater);
+    if (pageOps) {
+        j.num("kv_alloc_ops", l.kvAllocOps);
+        j.num("kv_free_ops", l.kvFreeOps);
+    }
+    j.num("kv_failed_allocs", l.kvFailedAllocs);
+    j.num("kv_occupancy_mean", l.kvOccupancyMean);
+    j.num("kv_frag_mean", l.kvFragMean);
+}
+
 void
 emitTenant(Json &j, const TenantResult &t, ScenarioMode mode,
            bool llm = false)
@@ -321,24 +346,8 @@ emitTenant(Json &j, const TenantResult &t, ScenarioMode mode,
         j.num("reclaims", t.reclaims);
     }
     if (llm) {
-        const LlmEndpointStats &l = t.llm;
         j.open("llm");
-        j.num("tokens", l.tokensGenerated);
-        j.num("tokens_per_sec", l.tokensPerSecond);
-        j.num("prefills", l.prefills);
-        j.num("decode_iterations", l.decodeIterations);
-        j.num("preemptions", l.preemptions);
-        const auto [ttft_p50, ttft_p99] =
-            l.ttftCycles.percentiles({0.50, 0.99});
-        j.num("ttft_p50_cycles", ttft_p50);
-        j.num("ttft_p99_cycles", ttft_p99);
-        j.num("kv_pages", l.kvPages);
-        j.num("kv_page_high_water", l.kvPageHighWater);
-        j.num("kv_alloc_ops", l.kvAllocOps);
-        j.num("kv_free_ops", l.kvFreeOps);
-        j.num("kv_failed_allocs", l.kvFailedAllocs);
-        j.num("kv_occupancy_mean", l.kvOccupancyMean);
-        j.num("kv_frag_mean", l.kvFragMean);
+        emitLlmStats(j, t.llm, /*pageOps=*/true);
         j.close();
     }
     j.close();
@@ -373,28 +382,14 @@ emitFleet(Json &j, const Scenario &s, const ScenarioOutcome &o)
     j.num("migrations", r.migrations);
 
     if (s.hasLlm) {
-        const LlmEndpointStats l =
-            fleetLlmTotals(r, s.board.core.freqHz);
         j.open("llm");
         j.str("scheduler",
               s.llm.scheduler == LlmScheduler::Continuous
                   ? "continuous"
                   : "static-batch");
         j.num("page_tokens", s.llm.pageTokens);
-        j.num("tokens", l.tokensGenerated);
-        j.num("tokens_per_sec", l.tokensPerSecond);
-        j.num("prefills", l.prefills);
-        j.num("decode_iterations", l.decodeIterations);
-        j.num("preemptions", l.preemptions);
-        const auto [ttft_p50, ttft_p99] =
-            l.ttftCycles.percentiles({0.50, 0.99});
-        j.num("ttft_p50_cycles", ttft_p50);
-        j.num("ttft_p99_cycles", ttft_p99);
-        j.num("kv_pages", l.kvPages);
-        j.num("kv_page_high_water", l.kvPageHighWater);
-        j.num("kv_failed_allocs", l.kvFailedAllocs);
-        j.num("kv_occupancy_mean", l.kvOccupancyMean);
-        j.num("kv_frag_mean", l.kvFragMean);
+        emitLlmStats(j, fleetLlmTotals(r, s.board.core.freqHz),
+                     /*pageOps=*/false);
         j.close();
     }
 

@@ -172,6 +172,20 @@ struct Field
         return v;
     }
 
+    /** A memory size in whole isolation segments of @p segment bytes:
+     * the hypervisor maps whole segments (§III-C), so the placer's
+     * free bytes count them exactly only then. */
+    std::uint64_t
+    wholeSegments(Bytes segment) const
+    {
+        const std::uint64_t v = u64();
+        if (v == 0 || v % segment != 0)
+            fail(csprintf("%s=%s must be a positive multiple of the core's "
+                          "%llu-byte isolation segment", key, value.c_str(),
+                          static_cast<unsigned long long>(segment)));
+        return v;
+    }
+
     /** Non-negative cycle count; "inf" = kCyclesInf. */
     Cycles
     cycles() const
@@ -333,9 +347,15 @@ constexpr KeyRow kKeys[] = {
     {"fleet", "freq-hz", Loop::Both,
      [](const Field &f) { f.out.board.core.freqHz = f.positiveReal(); }},
     {"fleet", "sram-bytes", Loop::Both,
-     [](const Field &f) { f.out.board.core.sramBytes = f.u64(); }},
+     [](const Field &f) {
+         NpuCoreConfig &core = f.out.board.core;
+         core.sramBytes = f.wholeSegments(core.sramSegment);
+     }},
     {"fleet", "hbm-bytes", Loop::Both,
-     [](const Field &f) { f.out.board.core.hbmBytes = f.u64(); }},
+     [](const Field &f) {
+         NpuCoreConfig &core = f.out.board.core;
+         core.hbmBytes = f.wholeSegments(core.hbmSegment);
+     }},
     {"fleet", "hbm-bytes-per-sec", Loop::Both,
      [](const Field &f) {
          f.out.board.core.hbmBytesPerSec = f.positiveReal();

@@ -32,8 +32,7 @@ enum class EventPriority : int
     Completion = 0,  ///< uTOp / DMA / request completions
     Arrival = 1,     ///< new work entering the system
     Schedule = 2,    ///< scheduler invocations
-    Stat = 3,        ///< statistics sampling
-    Default = 4,
+    Default = 3,
 };
 
 /**

@@ -15,6 +15,7 @@
 #include "cluster/placement.hh"
 #include "cluster/traffic.hh"
 #include "common/logging.hh"
+#include "common/strings.hh"
 #include "result_eq.hh"
 #include "runtime/serving.hh"
 #include "sim/clock.hh"
@@ -559,6 +560,33 @@ openLoopConfig(double rho, unsigned depth, Cycles horizon = 3e7)
     return cfg;
 }
 
+/** The stop tests' second input: one LLaMA endpoint under the token
+ * loop (llm_preemption.scn's endpoint), sent a sequence every 2e7
+ * cycles for 4e9 cycles — faster than it serves them, so a stop
+ * inside the stream cuts real work off. A prefill takes longer than
+ * 1e6 cycles, so a 1e6-cycle window stops before its first step. */
+ServingConfig
+llmEndpointConfig(unsigned depth)
+{
+    ServingConfig cfg;
+    cfg.mode = ServingMode::LlmContinuous;
+    cfg.maxCycles = 2e11;
+    cfg.llm.pageTokens = 16;
+    cfg.llm.maxBatch = 16;
+    cfg.llm.promptTokens = 384;
+    cfg.llm.promptTokensMax = 640;
+    cfg.llm.outputTokens = 64;
+    cfg.llm.outputTokensMax = 128;
+    TenantSpec ts(ModelId::Llama, 8, 4, 4);
+    ts.llmSeed = 7;
+    ts.maxQueueDepth = depth;
+    ts.sloCycles = 3e9;
+    for (int i = 0; i < 200; ++i)
+        ts.arrivals.push_back(2e7 * i);
+    cfg.tenants = {ts};
+    return cfg;
+}
+
 TEST(OpenLoop, LightLoadAdmitsEverything)
 {
     const auto cfg = openLoopConfig(/*rho=*/0.3, /*depth=*/64);
@@ -616,57 +644,75 @@ TEST(OpenLoop, DeterministicAcrossRuns)
 
 TEST(OpenLoop, EpochBoundaryStopConservesRequests)
 {
-    // An overloaded tenant stopped mid-run: every arrival that fired
-    // is completed, rejected, or reported as carriable backlog, and
-    // the run is measured over the epoch window.
+    // An overloaded tenant stopped mid-run, in the request loop and in
+    // the token loop: every arrival stamped before the stop is offered
+    // (the token loop stops between steps, so this includes arrivals
+    // after its last step), each one is completed, rejected, or
+    // reported as carriable backlog, and the run is measured over the
+    // epoch window.
     setLogLevel(LogLevel::Silent);
-    auto cfg = openLoopConfig(/*rho=*/2.0, /*depth=*/16);
-    cfg.stopAtCycles = 1e7;
-    const auto r = runServing(cfg);
-    const auto &t = r.tenants[0];
-    EXPECT_GT(t.backlog.size(), 0u);
-    EXPECT_EQ(t.completed + t.rejected + t.backlog.size(),
-              t.submitted);
-    EXPECT_TRUE(std::is_sorted(t.backlog.begin(), t.backlog.end()));
-    for (Cycles stamp : t.backlog) {
-        EXPECT_GE(stamp, 0.0);
-        EXPECT_LT(stamp, cfg.stopAtCycles);
-    }
-    EXPECT_EQ(r.makespan, cfg.stopAtCycles);
+    const auto check = [](ServingConfig cfg, Cycles stop) {
+        cfg.stopAtCycles = stop;
+        const auto r = runServing(cfg);
+        const auto &t = r.tenants[0];
+        SCOPED_TRACE(t.model);
+        const std::vector<Cycles> &in = cfg.tenants[0].arrivals;
+        EXPECT_EQ(t.submitted,
+                  static_cast<std::uint64_t>(
+                      std::lower_bound(in.begin(), in.end(), stop) -
+                      in.begin()));
+        EXPECT_GT(t.backlog.size(), 0u);
+        EXPECT_EQ(t.completed + t.rejected + t.backlog.size(),
+                  t.submitted);
+        EXPECT_TRUE(std::is_sorted(t.backlog.begin(), t.backlog.end()));
+        for (Cycles stamp : t.backlog) {
+            EXPECT_GE(stamp, 0.0);
+            EXPECT_LT(stamp, stop);
+        }
+        EXPECT_EQ(r.makespan, stop);
+    };
+    check(openLoopConfig(/*rho=*/2.0, /*depth=*/16), 1e7);
+    check(llmEndpointConfig(/*depth=*/16), 2e9);
     setLogLevel(LogLevel::Warn);
 }
 
 TEST(OpenLoop, CycleCapConservesRequests)
 {
-    // The runaway cap truncates the run mid-stream: every arrival of
-    // the offered stream must still be accounted — completed,
-    // rejected (including the tail the cap cut off before its
-    // delivery event fired), or carriable backlog. Nothing leaks.
+    // The runaway cap truncates the run mid-stream, in the request
+    // loop and in the token loop: every arrival of the offered stream
+    // must still be accounted — completed, rejected (including the
+    // tail the cap cut off before it was offered), or carriable
+    // backlog. Nothing leaks, and the run warns.
     setLogLevel(LogLevel::Warn);
-    auto cfg = openLoopConfig(/*rho=*/2.0, /*depth=*/16);
-    const std::uint64_t offered = cfg.tenants[0].arrivals.size();
-    cfg.maxCycles = 1e6; // well inside the 3e7-cycle stream
-    testing::internal::CaptureStderr();
-    const auto r = runServing(cfg);
-    std::istringstream err(testing::internal::GetCapturedStderr());
-    const auto &t = r.tenants[0];
-    EXPECT_EQ(t.submitted, offered);
-    EXPECT_EQ(t.completed + t.rejected + t.backlog.size(),
-              t.submitted);
-    EXPECT_GT(t.rejected, 0u);
-    EXPECT_LE(r.makespan, cfg.maxCycles);
-    // One warning, in the wording every smoke.bench_* entry fails on
-    // ("hit the [0-9]+-cycle cap", bench/CMakeLists.txt).
-    int caps = 0;
-    for (std::string line; std::getline(err, line);) {
-        if (line.find("-cycle cap") == std::string::npos)
-            continue;
-        ++caps;
-        EXPECT_NE(line.find("hit the 1000000-cycle cap"),
-                  std::string::npos)
-            << line;
-    }
-    EXPECT_EQ(caps, 1);
+    const auto check = [](ServingConfig cfg, Cycles cap) {
+        const std::uint64_t offered = cfg.tenants[0].arrivals.size();
+        cfg.maxCycles = cap;
+        testing::internal::CaptureStderr();
+        const auto r = runServing(cfg);
+        std::istringstream err(testing::internal::GetCapturedStderr());
+        const auto &t = r.tenants[0];
+        SCOPED_TRACE(t.model);
+        EXPECT_EQ(t.submitted, offered);
+        EXPECT_EQ(t.completed + t.rejected + t.backlog.size(),
+                  t.submitted);
+        EXPECT_GT(t.rejected, 0u);
+        EXPECT_LE(r.makespan, cfg.maxCycles);
+        // One warning, in the wording every smoke.bench_* entry fails
+        // on ("hit the [0-9]+-cycle cap", bench/CMakeLists.txt).
+        const std::string want = csprintf("hit the %.0f-cycle cap", cap);
+        int caps = 0;
+        for (std::string line; std::getline(err, line);) {
+            if (line.find("-cycle cap") == std::string::npos)
+                continue;
+            ++caps;
+            EXPECT_NE(line.find(want), std::string::npos) << line;
+        }
+        EXPECT_EQ(caps, 1);
+    };
+    // Each cap lies well inside its tenant's stream (3e7 and 4e9
+    // cycles long).
+    check(openLoopConfig(/*rho=*/2.0, /*depth=*/16), 1e6);
+    check(llmEndpointConfig(/*depth=*/16), 2e9);
 }
 
 TEST(OpenLoop, BoundaryArrivalsAreExclusiveAndConsistent)
@@ -676,34 +722,40 @@ TEST(OpenLoop, BoundaryArrivalsAreExclusiveAndConsistent)
     // likewise outside the window, but — since the cap is a terminal
     // stop, not a hand-off — it is shed as submitted + rejected
     // rather than silently dropped.
+    // The token loop checks the same rules: its run stops before its
+    // first prefill, so the 5e5 arrival, stamped after its last step
+    // and before the stop, is offered at the stop.
     setLogLevel(LogLevel::Silent);
-    auto base = openLoopConfig(/*rho=*/0.3, /*depth=*/16,
-                               /*horizon=*/1e6);
-    base.tenants[0].arrivals = {1e5, 5e5, 1e6}; // last on the line
+    for (ServingConfig base : {openLoopConfig(/*rho=*/0.3, /*depth=*/16,
+                                              /*horizon=*/1e6),
+                               llmEndpointConfig(/*depth=*/16)}) {
+        SCOPED_TRACE(modelAbbrev(base.tenants[0].model));
+        base.tenants[0].arrivals = {1e5, 5e5, 1e6}; // last on the line
 
-    auto boundary = base;
-    boundary.stopAtCycles = 1e6;
-    const auto rb = runServing(boundary);
-    // The boundary arrival was neither delivered nor counted: the
-    // next epoch's slice will offer it (runFleet slices streams with
-    // the same strict comparison).
-    EXPECT_EQ(rb.tenants[0].submitted, 2u);
-    EXPECT_EQ(rb.tenants[0].completed +
-                  rb.tenants[0].rejected +
-                  rb.tenants[0].backlog.size(),
-              rb.tenants[0].submitted);
+        auto boundary = base;
+        boundary.stopAtCycles = 1e6;
+        const auto rb = runServing(boundary);
+        // The boundary arrival was neither delivered nor counted: the
+        // next epoch's slice will offer it (runFleet slices streams
+        // with the same strict comparison).
+        EXPECT_EQ(rb.tenants[0].submitted, 2u);
+        EXPECT_EQ(rb.tenants[0].completed +
+                      rb.tenants[0].rejected +
+                      rb.tenants[0].backlog.size(),
+                  rb.tenants[0].submitted);
 
-    auto capped = base;
-    capped.maxCycles = 1e6;
-    const auto rc = runServing(capped);
-    // The capped run owns its whole stream: the on-the-line arrival
-    // counts as offered and shed.
-    EXPECT_EQ(rc.tenants[0].submitted, 3u);
-    EXPECT_EQ(rc.tenants[0].rejected, 1u);
-    EXPECT_EQ(rc.tenants[0].completed +
-                  rc.tenants[0].rejected +
-                  rc.tenants[0].backlog.size(),
-              rc.tenants[0].submitted);
+        auto capped = base;
+        capped.maxCycles = 1e6;
+        const auto rc = runServing(capped);
+        // The capped run owns its whole stream: the on-the-line
+        // arrival counts as offered and shed.
+        EXPECT_EQ(rc.tenants[0].submitted, 3u);
+        EXPECT_EQ(rc.tenants[0].rejected, 1u);
+        EXPECT_EQ(rc.tenants[0].completed +
+                      rc.tenants[0].rejected +
+                      rc.tenants[0].backlog.size(),
+                  rc.tenants[0].submitted);
+    }
     setLogLevel(LogLevel::Warn);
 }
 
@@ -713,20 +765,48 @@ TEST(OpenLoop, CapBelowEpochBoundaryIsACapStop)
     // not the boundary — ends the run: the window must not report
     // the unreached boundary, and the undelivered arrival tail is
     // shed as submitted + rejected like any capped run.
+    // Checked in the request loop and in the token loop.
     setLogLevel(LogLevel::Silent);
-    auto cfg = openLoopConfig(/*rho=*/0.3, /*depth=*/16,
-                              /*horizon=*/1e6);
-    cfg.tenants[0].arrivals = {1e5, 2.5e6};
-    cfg.stopAtCycles = 2e6;
-    cfg.maxCycles = 1e6;
-    const auto r = runServing(cfg);
-    EXPECT_LE(r.makespan, cfg.maxCycles);
-    const auto &t = r.tenants[0];
-    EXPECT_EQ(t.submitted, 2u);
-    EXPECT_EQ(t.rejected, 1u); // the 2.5e6 arrival the cap cut off
-    EXPECT_EQ(t.completed + t.rejected + t.backlog.size(),
-              t.submitted);
+    for (ServingConfig cfg : {openLoopConfig(/*rho=*/0.3, /*depth=*/16,
+                                             /*horizon=*/1e6),
+                              llmEndpointConfig(/*depth=*/16)}) {
+        SCOPED_TRACE(modelAbbrev(cfg.tenants[0].model));
+        cfg.tenants[0].arrivals = {1e5, 2.5e6};
+        cfg.stopAtCycles = 2e6;
+        cfg.maxCycles = 1e6;
+        const auto r = runServing(cfg);
+        EXPECT_LE(r.makespan, cfg.maxCycles);
+        const auto &t = r.tenants[0];
+        EXPECT_EQ(t.submitted, 2u);
+        EXPECT_EQ(t.rejected, 1u); // the 2.5e6 arrival the cap cut off
+        EXPECT_EQ(t.completed + t.rejected + t.backlog.size(),
+                  t.submitted);
+    }
     setLogLevel(LogLevel::Warn);
+}
+
+TEST(OpenLoop, UnbalancedBooksPanicNamingTheTenant)
+{
+    // The settle rule asserts conservation on every open-loop run: a
+    // request that is neither completed, rejected nor carried out is
+    // a PanicError naming the tenant and the rule.
+    TenantResult tr;
+    tr.model = "MNIST";
+    tr.submitted = 3;
+    tr.completed = 1;
+    tr.rejected = 1;
+    try {
+        settleRequests(tr, 2, 0, 1.0, /*offered=*/true);
+        ADD_FAILURE() << "unbalanced books settled";
+    } catch (const PanicError &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("tenant 2 (MNIST) does not conserve its "
+                           "requests"),
+                  std::string::npos)
+            << msg;
+    }
+    // A closed loop offers nothing, so its books are not audited.
+    EXPECT_NO_THROW(settleRequests(tr, 2, 0, 1.0, /*offered=*/false));
 }
 
 TEST(OpenLoop, CarriedBacklogIsServedNextEpoch)
@@ -1029,6 +1109,31 @@ TEST(Fleet, EpochsAloneKeepAccountingConsistent)
     EXPECT_EQ(epoch_sum, r.completed);
     // The final (draining) epoch carries nothing out.
     EXPECT_EQ(r.epochReports.back().backlog, 0u);
+}
+
+TEST(Fleet, DrainCapCutOffWorkCountsAsRejected)
+{
+    // fleet_static.scn at its smoke horizon with the per-core drain
+    // cap at the horizon: the final epoch's runs stop at the cap with
+    // admitted work unserved. Nothing serves it after the last epoch,
+    // so it counts as rejected, per tenant and fleet-wide.
+    setLogLevel(LogLevel::Silent);
+    auto cfg = imbalancedFleet(/*epochs=*/1);
+    cfg.maxCycles = cfg.horizon;
+    const auto r = runFleet(cfg);
+    setLogLevel(LogLevel::Warn);
+    ASSERT_EQ(r.epochReports.size(), 1u);
+    EXPECT_GT(r.epochReports.back().backlog, 0u); // the cap cut work
+    for (size_t i = 0; i < r.tenants.size(); ++i) {
+        const TenantResult &t = r.tenants[i];
+        EXPECT_EQ(t.submitted,
+                  generateArrivals(cfg.tenants[i].traffic, cfg.horizon,
+                                   cfg.board.core.freqHz)
+                      .size())
+            << "tenant " << i;
+        EXPECT_EQ(t.completed + t.rejected, t.submitted) << "tenant " << i;
+    }
+    EXPECT_EQ(r.completed + r.rejected, r.submitted);
 }
 
 TEST(Fleet, BoundaryArrivalIsDeliveredExactlyOnce)

@@ -773,6 +773,14 @@ TEST(LlmServing, BoardLossConservesPagesAndRequests)
     EXPECT_GT(r.lostRequests, 0u);
     EXPECT_EQ(r.completed + r.rejected, r.submitted);
     EXPECT_GE(r.rejected, r.lostRequests);
+    // Every generated sequence was offered, including those stamped
+    // after the fault-stopped endpoint's last step.
+    for (size_t i = 0; i < r.tenants.size(); ++i)
+        EXPECT_EQ(r.tenants[i].submitted,
+                  generateArrivals(cfg.tenants[i].traffic, cfg.horizon,
+                                   cfg.board.core.freqHz)
+                      .size())
+            << "tenant " << i;
     for (const TenantResult &tr : r.tenants) {
         // The fault-stopped endpoint still released every page: a
         // leak would have tripped the teardown audit (FatalError).

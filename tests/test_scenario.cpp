@@ -814,6 +814,40 @@ TEST(ScenarioErrors, BatchBeyondModelMax)
                 "test.scn:5: [tenant.a]: batch 100000 exceeds");
 }
 
+/** A one-board fleet_static.scn whose [fleet] line 4 is @p key. */
+std::string
+memoryRepro(const std::string &key)
+{
+    return "[scenario]\nname = t\n[fleet]\n" + key +
+           "\nboards = 1\nhorizon = 6e6\n[tenant.mnist]\n"
+           "model = MNIST\ncount = 2\neus = 8\nrho = 1.2\n";
+}
+
+TEST(ScenarioErrors, MemoryKeysAreWholeSegments)
+{
+    // The placer counts free bytes and the hypervisor whole segments.
+    // 129 MiB of SRAM is 64.5 segments: the placer would admit a vNPU
+    // sized to the whole core that the hypervisor's 64 segments
+    // cannot map (a fatal pinned create).
+    expectError(memoryRepro("sram-bytes = 135266304"),
+                "test.scn:4: sram-bytes=135266304 must be a positive "
+                "multiple of the core's 2097152-byte isolation "
+                "segment");
+}
+
+TEST(ScenarioErrors, MemoryKeysHoldAtLeastOneSegment)
+{
+    // Less than one segment would build a hypervisor with no segment
+    // to map (a PanicError out of runFleet).
+    expectError(memoryRepro("sram-bytes = 1048576"),
+                "test.scn:4: sram-bytes=1048576 must be a positive "
+                "multiple of the core's 2097152-byte isolation "
+                "segment");
+    expectError(memoryRepro("hbm-bytes = 0"),
+                "test.scn:4: hbm-bytes=0 must be a positive multiple "
+                "of the core's 1073741824-byte isolation segment");
+}
+
 // ----------------------------------- structural/semantic negatives
 
 TEST(ScenarioErrors, MissingScenarioName)
